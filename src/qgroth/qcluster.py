@@ -26,16 +26,26 @@ from .qtorus import (
     ExpKey,
     TorusElement,
     TorusError,
-    _KeyOrder,
-    key_add,
-    key_cmp,
+    divide_terms,
     exact_left_divide,
+    key_add,
     make_key,
 )
 
 
 class MutationError(ValueError):
-    pass
+    """A mutation failed.  vertex is the mutation that failed and path the
+    mutations applied before it, when known."""
+
+    def __init__(
+        self,
+        message: str,
+        vertex: Vertex | None = None,
+        path: tuple[Vertex, ...] | None = None,
+    ):
+        super().__init__(message)
+        self.vertex = vertex
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -127,10 +137,18 @@ def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
         new_var = exact_left_divide(s, seed.vars[k])
     except TorusError as exc:
         raise MutationError(
-            f"Laurent-phenomenon violation mutating at {k}: {exc}"
+            f"Laurent-phenomenon violation mutating at {k} "
+            f"after path {list(seed.history)}: {exc}",
+            vertex=k,
+            path=seed.history,
         ) from exc
     if new_var.bar() != new_var:
-        raise MutationError(f"mutated variable at {k} is not bar-invariant")
+        raise MutationError(
+            f"mutated variable at {k} after path {list(seed.history)} "
+            "is not bar-invariant",
+            vertex=k,
+            path=seed.history,
+        )
 
     new_vars = dict(seed.vars)
     new_vars[k] = new_var
@@ -189,27 +207,17 @@ def cp_pow(a: CPoly, n: int) -> CPoly:
     return out
 
 
-def cp_exact_div(a: CPoly, d: CPoly, max_steps: int = 10000) -> CPoly:
+def cp_exact_div(a: CPoly, d: CPoly) -> CPoly:
+    """Exact classical division: the shared division core with zero twist."""
     if not d:
         raise MutationError("classical division by zero")
-    d_lead = max(d, key=_KeyOrder)
-    d_trail = min(d, key=_KeyOrder)
-    quot: CPoly = {}
-    rem = dict(a)
-    for _ in range(max_steps):
-        if not rem:
-            return quot
-        r_lead = max(rem, key=_KeyOrder)
-        ex = key_add(r_lead, d_lead, sign=-1)
-        low = key_add(min(rem, key=_KeyOrder), d_trail, sign=-1)
-        if key_cmp(low, ex) > 0:
-            raise MutationError(f"classical division not exact, remainder {rem}")
-        c, r = divmod(rem[r_lead], d[d_lead])
-        if r != 0:
-            raise MutationError(f"classical division not exact, remainder {rem}")
-        quot = cp_add(quot, {ex: c})
-        rem = cp_add(rem, {key_add(k, ex): -v * c for k, v in d.items()})
-    raise MutationError("classical division did not terminate")
+    quot, rem, reason = divide_terms(
+        {k: {0: v} for k, v in a.items()}, {k: {0: v} for k, v in d.items()}, None
+    )
+    if reason:
+        rem_cp = {k: c[0] for k, c in rem.items()}
+        raise MutationError(f"classical division not exact ({reason}), remainder {rem_cp}")
+    return {k: c[0] for k, c in quot.items()}
 
 
 def classical_mutate_along(
@@ -219,7 +227,8 @@ def classical_mutate_along(
     vars_: dict[Vertex, CPoly] = {v: cp_monomial({v: 1}) for v in slc.vertices}
     b = slc.b_matrix
     verts = slc.vertices
-    for k in path:
+    path = tuple(path)
+    for step, k in enumerate(path):
         try:
             col = slc.exchangeable.index(k)
         except ValueError:
@@ -233,6 +242,13 @@ def classical_mutate_along(
             elif e < 0:
                 den = cp_mul(den, cp_pow(vars_[verts[row]], -e))
         vars_ = dict(vars_)
-        vars_[k] = cp_exact_div(cp_add(num, den), vars_[k])
+        try:
+            vars_[k] = cp_exact_div(cp_add(num, den), vars_[k])
+        except MutationError as exc:
+            raise MutationError(
+                f"classical mutation at {k} after path {list(path[:step])}: {exc}",
+                vertex=k,
+                path=tuple(path[:step]),
+            ) from exc
         b = mutate_matrix(b, slc.exch_rows, col)
     return vars_

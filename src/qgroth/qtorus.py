@@ -15,11 +15,22 @@ standing for the Y-variable at spectral shift r+1, maps to z[i,r]/z[i,r+2]),
 evaluation at t=1, the weight-group-ring character, and exact left division
 (the workhorse of quantum exchange relations, where the Laurent phenomenon
 guarantees exactness).
+
+Division terminates by proof, not by a step cap.  The torus is a domain and
+the twist only moves v-powers, so in every vertex the exponent range of a
+product is the sum of the ranges of its factors.  A quotient x of d * x = a
+therefore has every exponent, vertex by vertex, in the finite degree box
+[min_a - min_d, max_a - max_d].  The division produces quotient exponents in
+strictly decreasing lex order, so it meets each point of the box at most
+once; a candidate outside the box certifies at once that no quotient exists.
 """
 
 from __future__ import annotations
 
 import json
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from operator import add, le, mul, sub
 
 from .cartan import CartanData, f_form
 
@@ -33,11 +44,25 @@ class TorusError(ValueError):
 
 
 class NonExactDivision(TorusError):
-    """Left division left a remainder; carries it for diagnosis."""
+    """Left division is not exact.
 
-    def __init__(self, message: str, remainder: "TorusElement"):
-        super().__init__(message)
+    Carries why (one of the two reasons below), the remainder at the point
+    of failure, and the term counts of the numerator and the divisor."""
+
+    OUTSIDE_BOX = "quotient exponent outside the degree box"
+    NON_EXACT_COEFFICIENT = "non-exact coefficient"
+
+    def __init__(
+        self, reason: str, remainder: "TorusElement", num_terms: int, den_terms: int
+    ):
+        super().__init__(
+            f"non-exact division ({reason}) of a {num_terms}-term numerator by a "
+            f"{den_terms}-term divisor, remainder {remainder.to_text()}"
+        )
+        self.reason = reason
         self.remainder = remainder
+        self.num_terms = num_terms
+        self.den_terms = den_terms
 
 
 # ---------------------------------------------------------------- TCoeff ops
@@ -423,42 +448,114 @@ def weight_mul(
 
 # ------------------------------------------------------------ exact division
 
-MAX_DIVISION_STEPS = 10000
+def divide_terms(
+    a: dict[ExpKey, TCoeff], d: dict[ExpKey, TCoeff], cartan: CartanData | None
+) -> tuple[dict[ExpKey, TCoeff], dict[ExpKey, TCoeff], str | None]:
+    """Left-divide term dicts: solve d * x = a, twisted by the skew form of
+    cartan, or untwisted (the commutative t=1 ring) when cartan is None.
+
+    Returns (quotient, {}, None) when the division is exact, and otherwise
+    (partial quotient, remainder, reason) with a NonExactDivision reason.
+    d must be nonzero.
+
+    Exponents become dense tuples over the vertices of a and d in reading
+    order, negated, so tuple order is the reverse of the lex order and a
+    min-heap of the remainder's keys pops its leading term.  Each step
+    subtracts d times one new quotient term, and the v-power of each product
+    comes from a twist row cached per divisor term."""
+    if not a:
+        return {}, {}, None
+    verts = sorted({u for k in chain(a, d) for u, _ in k}, key=vertex_sort_key)
+    col = {u: j for j, u in enumerate(verts)}
+
+    def dense(key: ExpKey) -> tuple[int, ...]:
+        out = [0] * len(verts)
+        for u, e in key:
+            out[col[u]] = -e
+        return tuple(out)
+
+    def sparse(terms: dict) -> dict[ExpKey, TCoeff]:
+        return {
+            tuple((verts[j], -e) for j, e in enumerate(k) if e): c
+            for k, c in terms.items()
+            if c
+        }
+
+    rem = {dense(k): c for k, c in a.items()}
+    den = {dense(k): c for k, c in d.items()}
+    # the degree box; negating exponents maps it onto the same formula
+    lo = tuple(map(sub, map(min, zip(*rem)), map(min, zip(*den))))
+    hi = tuple(map(sub, map(max, zip(*rem)), map(max, zip(*den))))
+    if cartan is None:
+        rows = dict.fromkeys(den)
+    else:
+        # Lambda(e, x) = e . L . x, and the negations of e and x cancel
+        lam_cols = [
+            [f_form(cartan, i, j, s - r) for (i, r) in verts] for (j, s) in verts
+        ]
+        rows = {kd: tuple(sum(map(mul, kd, lc)) for lc in lam_cols) for kd in den}
+    lead = min(den)
+    lead_coeff, lead_row = den[lead], rows[lead]
+    rest = [(kd, cd, rows[kd]) for kd, cd in den.items() if kd != lead]
+
+    quot: dict[tuple[int, ...], TCoeff] = {}
+    heap = list(rem)
+    heapify(heap)
+    while heap:
+        m = heappop(heap)
+        cm = rem.pop(m)
+        if not cm:
+            continue
+        ex = tuple(map(sub, m, lead))
+        if not (all(map(le, lo, ex)) and all(map(le, ex, hi))):
+            rem[m] = cm
+            return sparse(quot), sparse(rem), NonExactDivision.OUTSIDE_BOX
+        shift = sum(map(mul, lead_row, ex)) if lead_row else 0
+        try:
+            cx = tc_exact_div(cm, tc_shift(lead_coeff, shift))
+        except TorusError:
+            rem[m] = cm
+            return sparse(quot), sparse(rem), NonExactDivision.NON_EXACT_COEFFICIENT
+        quot[ex] = cx
+        # rem -= d * term; the leading product cancels cm exactly
+        for kd, cd, row in rest:
+            k = tuple(map(add, kd, ex))
+            shift = sum(map(mul, row, ex)) if row else 0
+            old = rem.get(k)
+            if old is None:
+                heappush(heap, k)
+            # a fresh dict, so the coefficients of a are never written to
+            target = rem[k] = {} if old is None else dict(old)
+            for p, c1 in cd.items():
+                p += shift
+                for q, c2 in cx.items():
+                    n = target.get(p + q, 0) - c1 * c2
+                    if n:
+                        target[p + q] = n
+                    else:
+                        del target[p + q]
+    return sparse(quot), {}, None
 
 
 def exact_left_divide(a: TorusElement, d: TorusElement) -> TorusElement:
     """Solve d * x = a exactly; raise NonExactDivision otherwise.
 
-    Strategy: repeatedly eliminate the leading monomial of the remainder
-    against the leading monomial of d.  A quotient with d * x = a forces
-    lead(a) = lead(d) + lead(x) and trail(a) = trail(d) + trail(x), so the
-    candidate exponent is lead(rem) - lead(d), and trail(rem) - trail(d)
-    exceeding it certifies non-exactness early."""
+    Each step takes the leading term m of the remainder (lex order along the
+    reading order of the vertices).  If x exists, the remainder is d times
+    what is left of x, so m = lead(d) + the leading exponent of that rest,
+    and the candidate m - lead(d) must lie in the degree box
+    [min_a - min_d, max_a - max_d] (module docstring), with its coefficient
+    an exact quotient in Z[v, 1/v].  A candidate that fails either test
+    certifies that no quotient exists.  Otherwise the candidate term joins
+    the quotient and d times it leaves the remainder, so the leading
+    remainder term strictly falls in lex order.  Candidates thus never
+    repeat, and the box is finite, so the loop ends."""
     if not d:
         raise TorusError("division by zero")
-    c = a.cartan
-    d_lead = d.lead_key()
-    d_trail = d.trail_key()
-    quot = TorusElement.zero(c)
-    rem = a
-    for _ in range(MAX_DIVISION_STEPS):
-        if not rem:
-            return quot
-        ex = key_add(rem.lead_key(), d_lead, sign=-1)
-        low = key_add(rem.trail_key(), d_trail, sign=-1)
-        if key_cmp(low, ex) > 0:
-            raise NonExactDivision(
-                f"non-exact division, remainder {rem.to_text()}", rem
-            )
-        shift = lambda_of(c, d_lead, ex)
-        try:
-            cx = tc_exact_div(rem.terms[rem.lead_key()], tc_shift(d.terms[d_lead], shift))
-        except TorusError:
-            raise NonExactDivision(
-                f"non-exact division at coefficient level, remainder {rem.to_text()}",
-                rem,
-            ) from None
-        term = TorusElement.monomial(c, dict(ex), cx)
-        quot = quot + term
-        rem = rem - d * term
-    raise NonExactDivision("division did not terminate", rem)
+    a._check_peer(d)
+    quot, rem, reason = divide_terms(a.terms, d.terms, a.cartan)
+    if reason:
+        raise NonExactDivision(
+            reason, TorusElement(a.cartan, rem), len(a.terms), len(d.terms)
+        )
+    return TorusElement(a.cartan, quot)

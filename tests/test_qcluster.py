@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qgroth import qcluster
 from qgroth.cartan import build_cartan
 from qgroth.compat import check_compatible
 from qgroth.qcluster import (
@@ -15,7 +20,13 @@ from qgroth.qcluster import (
     mutate_along,
 )
 from qgroth.quiver import QuiverError, build_slice
-from qgroth.qtorus import TorusElement, evaluate_t1, make_key
+from qgroth.qtorus import (
+    NonExactDivision,
+    TorusElement,
+    evaluate_t1,
+    exact_left_divide,
+    make_key,
+)
 from qgroth.verify import SL3_GOLDEN, SL3_PATH
 
 
@@ -134,3 +145,69 @@ class TestClassicalEngine:
         with pytest.raises(MutationError):
             cp_exact_div(cp_add(cp_monomial({(1, 0): 1}), cp_monomial({(1, 2): 1})),
                          cp_add(cp_monomial({(1, 0): 1}), cp_monomial({(1, -2): 1})))
+
+
+class TestMutationFailures:
+    def test_quantum_failure_names_vertex_path_and_sizes(self, a2):
+        seed = mutate(initial_seed(a2, build_slice(a2, window=(-1, 6))), SL3_PATH[0])
+        k = SL3_PATH[1]
+        # doubling the old variable makes the exchange division non-exact
+        vars_ = {**seed.vars, k: seed.vars[k].scaled(2)}
+        broken = dataclasses.replace(seed, vars=vars_)
+        with pytest.raises(MutationError) as info:
+            mutate(broken, k)
+        err = info.value
+        assert err.vertex == k
+        assert err.path == (SL3_PATH[0],)
+        cause = err.__cause__
+        assert isinstance(cause, NonExactDivision)
+        assert cause.reason == NonExactDivision.NON_EXACT_COEFFICIENT
+        assert cause.den_terms == len(seed.vars[k].terms)
+        assert cause.num_terms >= 2
+        assert cause.remainder
+
+    def test_classical_failure_names_vertex_and_path(self, a2, monkeypatch):
+        real = qcluster.cp_exact_div
+        calls = []
+
+        def doubled_divisor_after_first(a, d):
+            calls.append(None)
+            if len(calls) > 1:
+                d = {key: 2 * v for key, v in d.items()}
+            return real(a, d)
+
+        monkeypatch.setattr(qcluster, "cp_exact_div", doubled_divisor_after_first)
+        slc = build_slice(a2, window=(-1, 6))
+        with pytest.raises(MutationError) as info:
+            classical_mutate_along(a2, slc, SL3_PATH)
+        assert info.value.vertex == SL3_PATH[1]
+        assert info.value.path == (SL3_PATH[0],)
+
+
+CORE_CARTANS = {
+    label: (c, [(i, r) for i in c.nodes for r in range(-4, 5) if c.in_ihat(i, r)])
+    for label, c in (("A3", build_cartan("A", 3)), ("D4", build_cartan("D", 4)))
+}
+
+
+@st.composite
+def torus_elements(draw, label, max_terms):
+    """Elements with positive coefficients, so their t=1 images never vanish."""
+    c, verts = CORE_CARTANS[label]
+    out = TorusElement.zero(c)
+    for _ in range(draw(st.integers(1, max_terms))):
+        support = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=3, unique=True))
+        exp = {v: draw(st.integers(-2, 2)) for v in support}
+        coeff = {draw(st.integers(-3, 3)): draw(st.integers(1, 3))}
+        out = out + TorusElement.monomial(c, exp, coeff)
+    return out
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), label=st.sampled_from(sorted(CORE_CARTANS)))
+def test_engines_agree_through_shared_core(data, label):
+    d = data.draw(torus_elements(label, 3))
+    x = data.draw(torus_elements(label, 4))
+    quantum = exact_left_divide(d * x, d)
+    assert quantum == x
+    assert cp_exact_div(evaluate_t1(d * x), evaluate_t1(d)) == evaluate_t1(quantum)

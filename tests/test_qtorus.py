@@ -255,6 +255,39 @@ class TestExactDivision:
             exact_left_divide(a, d)
         assert info.value.remainder
 
+    @pytest.mark.parametrize(
+        "a_exps, d_exps",
+        [
+            # in (1,0) the box is [0 - (-1), 0 - 1], and the first
+            # candidate z[1,2]z[1,0]^-1 lies below it
+            ([{(1, 2): -1}, {(1, 2): 1}], [{(1, 0): -1}, {(1, 0): 1}]),
+            # in (1,-2) the box is [0 - (-1), 1 - 1], and the first
+            # candidate z[1,-2] lies above it
+            (
+                [{(1, 0): 1}, {(1, 2): -1, (1, -2): 1}],
+                [{(1, 2): -1, (1, -2): 1}, {(1, 0): 1, (1, -2): -1}],
+            ),
+        ],
+        ids=["below", "above"],
+    )
+    def test_first_candidate_outside_box(self, a1, a_exps, d_exps):
+        a = monomial(a1, a_exps[0]) + monomial(a1, a_exps[1])
+        d = monomial(a1, d_exps[0]) + monomial(a1, d_exps[1])
+        with pytest.raises(NonExactDivision) as info:
+            exact_left_divide(a, d)
+        err = info.value
+        assert err.reason == NonExactDivision.OUTSIDE_BOX
+        assert (err.num_terms, err.den_terms) == (2, 2)
+        assert err.remainder == a
+
+    def test_non_exact_coefficient(self, a1):
+        a = monomial(a1, {(1, 0): 1, (1, 2): 1}, 3)
+        d = monomial(a1, {(1, 0): 1}, 2)
+        with pytest.raises(NonExactDivision) as info:
+            exact_left_divide(a, d)
+        assert info.value.reason == NonExactDivision.NON_EXACT_COEFFICIENT
+        assert (info.value.num_terms, info.value.den_terms) == (1, 1)
+
     def test_divide_by_zero(self, a1):
         with pytest.raises(TorusError):
             exact_left_divide(TorusElement.one(a1), TorusElement.zero(a1))
