@@ -32,7 +32,6 @@ from .repchar import (
     drinfeld_double_check,
     fundamental_qt_character,
     mutation_sequence,
-    prefundamental_qt_character,
     thinness_flatten_check,
 )
 

@@ -72,6 +72,18 @@ def _emit(args, obj: dict, text: str) -> None:
         print(text)
 
 
+def _t1_render(value: dict) -> tuple[str, list[dict]]:
+    """Text and JSON terms of a t=1 value, in sorted key order; "0" if zero."""
+    items = sorted(value.items())
+    text = " + ".join(
+        (f"{n}*" if n != 1 else "")
+        + "".join(f"z[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in k)
+        for k, n in items
+    )
+    terms = [{"c": n, "exp": [[i, r, e] for (i, r), e in k]} for k, n in items]
+    return text or "0", terms
+
+
 def _cartan_of(args):
     return build_cartan(args.type, args.rank)
 
@@ -164,20 +176,8 @@ def cmd_mutate(args) -> int:
     if vertex is None:
         raise UsageError("empty path needs an explicit --vertex")
     if args.t1:
-        value = classical_mutate_along(c, slc, path)[vertex]
-        text = " + ".join(
-            (f"{n}*" if n != 1 else "")
-            + "".join(f"z[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in k)
-            for k, n in sorted(value.items())
-        ) or "0"
-        obj = {
-            "vertex": list(vertex),
-            "t1": True,
-            "terms": [
-                {"c": n, "exp": [[i, r, e] for (i, r), e in k]}
-                for k, n in sorted(value.items())
-            ],
-        }
+        text, terms = _t1_render(classical_mutate_along(c, slc, path)[vertex])
+        obj = {"vertex": list(vertex), "t1": True, "terms": terms}
     else:
         seed = mutate_along(initial_seed(c, slc), path)
         el = seed.vars[vertex]
@@ -206,20 +206,12 @@ def cmd_fund_char(args) -> int:
     window = _parse_window(args.window) if args.window else None
     char = fundamental_qt_character(c, args.i, args.r, window=window)
     if args.t1:
-        value = evaluate_t1(char.value)
-        text = " + ".join(
-            (f"{n}*" if n != 1 else "")
-            + "".join(f"z[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in k)
-            for k, n in sorted(value.items())
-        )
+        text, terms = _t1_render(evaluate_t1(char.value))
         obj = {
             "origin": list(char.origin),
             "read_at": list(char.vertex_read),
             "t1": True,
-            "terms": [
-                {"c": n, "exp": [[i, r, e] for (i, r), e in k]}
-                for k, n in sorted(value.items())
-            ],
+            "terms": terms,
         }
     else:
         text = char.value.to_text()

@@ -28,8 +28,8 @@ from .qtorus import (
     TorusError,
     divide_terms,
     exact_left_divide,
-    key_add,
     make_key,
+    multiply_terms,
 )
 
 
@@ -187,17 +187,13 @@ def cp_add(a: CPoly, b: CPoly) -> CPoly:
     return out
 
 
+def _lift(a: CPoly) -> dict:
+    return {k: {0: v} for k, v in a.items()}
+
+
 def cp_mul(a: CPoly, b: CPoly) -> CPoly:
-    out: CPoly = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = key_add(ka, kb)
-            n = out.get(k, 0) + va * vb
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-    return out
+    """Classical product: the shared product core with zero twist."""
+    return {k: c[0] for k, c in multiply_terms(_lift(a), _lift(b), None).items()}
 
 
 def cp_pow(a: CPoly, n: int) -> CPoly:
@@ -211,9 +207,7 @@ def cp_exact_div(a: CPoly, d: CPoly) -> CPoly:
     """Exact classical division: the shared division core with zero twist."""
     if not d:
         raise MutationError("classical division by zero")
-    quot, rem, reason = divide_terms(
-        {k: {0: v} for k, v in a.items()}, {k: {0: v} for k, v in d.items()}, None
-    )
+    quot, rem, reason = divide_terms(_lift(a), _lift(d), None)
     if reason:
         rem_cp = {k: c[0] for k, c in rem.items()}
         raise MutationError(f"classical division not exact ({reason}), remainder {rem_cp}")

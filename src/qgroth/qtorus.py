@@ -23,6 +23,13 @@ therefore has every exponent, vertex by vertex, in the finite degree box
 [min_a - min_d, max_a - max_d].  The division produces quotient exponents in
 strictly decreasing lex order, so it meets each point of the box at most
 once; a candidate outside the box certifies at once that no quotient exists.
+
+One dense exponent frame serves the star product, the division and the term
+order.  It indexes the vertices of the operands in reading order and stores
+exponents negated, so plain tuple order is the reverse of the lex order.
+With Cartan data it also holds the skew form on those vertices, and each
+left factor's twist is one row of it.  The classical (t=1) engine runs the
+same product and division at zero twist.
 """
 
 from __future__ import annotations
@@ -155,53 +162,59 @@ def make_key(exp: dict[Vertex, int]) -> ExpKey:
     )
 
 
-def key_add(a: ExpKey, b: ExpKey, sign: int = 1) -> ExpKey:
-    exp = {u: e for u, e in a}
-    for u, e in b:
-        exp[u] = exp.get(u, 0) + sign * e
-    return make_key(exp)
+class _DenseFrame:
+    """Dense exponent vectors over the vertices of a set of keys.
 
+    The vertices are sorted in reading order.  dense(key) negates the
+    exponents, so plain tuple order on dense vectors is the reverse of the
+    lex order along the reading order (a vertex missing from a key counts as
+    exponent 0), and min picks the leading term.  sparse(terms) maps dense
+    keys back to ExpKeys.  With Cartan data the frame holds the skew form on
+    its vertices, and twist(e) is the Lambda row of the dense exponent e:
+    Lambda(e, f) = twist(e) . f, since the negations of e and f cancel.
+    Without Cartan data twist(e) is None, the untwisted (t=1) ring."""
 
-def key_cmp(a: ExpKey, b: ExpKey) -> int:
-    """Lexicographic comparison along the canonical vertex order.
+    __slots__ = ("verts", "col", "lam_cols")
 
-    Keys are stored sorted by (level desc, node asc) with no zero exponents,
-    so a single merge pass suffices; a vertex missing on one side counts as
-    exponent 0 there."""
-    ia, ib = 0, 0
-    la, lb = len(a), len(b)
-    while ia < la and ib < lb:
-        (na, ra), ea = a[ia]
-        (nb, rb), eb = b[ib]
-        ka = (-ra, na)
-        kb = (-rb, nb)
-        if ka < kb:
-            return 1 if ea > 0 else -1
-        if kb < ka:
-            return -1 if eb > 0 else 1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        ia += 1
-        ib += 1
-    while ia < la:
-        return 1 if a[ia][1] > 0 else -1
-    while ib < lb:
-        return -1 if b[ib][1] > 0 else 1
-    return 0
+    def __init__(self, keys, cartan: CartanData | None = None):
+        self.verts = sorted({u for k in keys for u, _ in k}, key=vertex_sort_key)
+        self.col = {u: j for j, u in enumerate(self.verts)}
+        self.lam_cols = None
+        if cartan is not None:
+            # lam_cols[b][a] = Lambda(verts[a], verts[b]); Lambda is skew, so
+            # each f_form call fills two entries, always at a gap s - r >= 0
+            n = len(self.verts)
+            self.lam_cols = [[0] * n for _ in range(n)]
+            for a, (i, r) in enumerate(self.verts):
+                for b, (j, s) in enumerate(self.verts[:a]):
+                    self.lam_cols[b][a] = f = f_form(cartan, i, j, s - r)
+                    self.lam_cols[a][b] = -f
 
+    def dense(self, key: ExpKey) -> tuple[int, ...]:
+        out = [0] * len(self.verts)
+        for u, e in key:
+            out[self.col[u]] = -e
+        return tuple(out)
 
-class _KeyOrder:
-    __slots__ = ("key",)
+    def sparse(self, terms: dict) -> dict[ExpKey, TCoeff]:
+        verts = self.verts
+        return {
+            tuple((verts[j], -e) for j, e in enumerate(k) if e): c
+            for k, c in terms.items()
+            if c
+        }
 
-    def __init__(self, key: ExpKey):
-        self.key = key
-
-    def __lt__(self, other: "_KeyOrder") -> bool:
-        return key_cmp(self.key, other.key) < 0
+    def twist(self, e: tuple[int, ...]) -> tuple[int, ...] | None:
+        if self.lam_cols is None:
+            return None
+        return tuple(sum(map(mul, e, lc)) for lc in self.lam_cols)
 
 
 def lambda_of(c: CartanData, e: ExpKey | dict, f: ExpKey | dict) -> int:
-    """Skew form, extended bilinearly from Lambda((i,r),(j,s)) = F_ij(s-r)."""
+    """Skew form, extended bilinearly from Lambda((i,r),(j,s)) = F_ij(s-r).
+
+    The products use _DenseFrame.twist; this pairwise form is the
+    reference it is tested against."""
     ee = dict(e) if not isinstance(e, dict) else e
     ff = dict(f) if not isinstance(f, dict) else f
     total = 0
@@ -217,13 +230,11 @@ def lambda_of(c: CartanData, e: ExpKey | dict, f: ExpKey | dict) -> int:
 class TorusElement:
     """Finite sum of commutative monomials with Laurent coefficients in v."""
 
-    __slots__ = ("cartan", "terms", "_lead", "_trail")
+    __slots__ = ("cartan", "terms")
 
     def __init__(self, cartan: CartanData, terms: dict[ExpKey, TCoeff]):
         self.cartan = cartan
         self.terms = {k: c for k, c in terms.items() if c}
-        self._lead: ExpKey | None = None
-        self._trail: ExpKey | None = None
 
     # -- constructors
     @classmethod
@@ -275,13 +286,7 @@ class TorusElement:
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         """Star product: comm(e) * comm(f) = v^Lambda(e,f) comm(e+f)."""
         self._check_peer(other)
-        out: dict[ExpKey, TCoeff] = {}
-        for ke, ce in self.terms.items():
-            for kf, cf in other.terms.items():
-                shift = lambda_of(self.cartan, ke, kf)
-                k = key_add(ke, kf)
-                out[k] = tc_add(out.get(k, {}), tc_shift(tc_mul(ce, cf), shift))
-        return TorusElement(self.cartan, out)
+        return TorusElement(self.cartan, multiply_terms(self.terms, other.terms, self.cartan))
 
     def __pow__(self, n: int) -> "TorusElement":
         if n < 0:
@@ -306,16 +311,12 @@ class TorusElement:
     def lead_key(self) -> ExpKey:
         if not self.terms:
             raise TorusError("zero element has no leading term")
-        if self._lead is None:
-            self._lead = max(self.terms, key=_KeyOrder)
-        return self._lead
+        return min(self.terms, key=_DenseFrame(self.terms).dense)
 
     def trail_key(self) -> ExpKey:
         if not self.terms:
             raise TorusError("zero element has no trailing term")
-        if self._trail is None:
-            self._trail = min(self.terms, key=_KeyOrder)
-        return self._trail
+        return max(self.terms, key=_DenseFrame(self.terms).dense)
 
     def _check_peer(self, other: "TorusElement") -> None:
         if not isinstance(other, TorusElement) or other.cartan is not self.cartan:
@@ -323,7 +324,8 @@ class TorusElement:
 
     # -- rendering
     def sorted_keys(self) -> list[ExpKey]:
-        return sorted(self.terms, key=_KeyOrder, reverse=True)
+        """Keys in descending lex order along the reading order."""
+        return sorted(self.terms, key=_DenseFrame(self.terms).dense)
 
     def to_text(self) -> str:
         if not self.terms:
@@ -446,7 +448,43 @@ def weight_mul(
     return out
 
 
-# ------------------------------------------------------------ exact division
+# ------------------------------------------------ product and exact division
+
+def _add_product(target: TCoeff, c1: TCoeff, c2: TCoeff, shift: int) -> None:
+    """target += v^shift * c1 * c2, in place."""
+    for p, x in c1.items():
+        p += shift
+        for q, y in c2.items():
+            n = target.get(p + q, 0) + x * y
+            if n:
+                target[p + q] = n
+            else:
+                target.pop(p + q, None)
+
+
+def multiply_terms(
+    a: dict[ExpKey, TCoeff], b: dict[ExpKey, TCoeff], cartan: CartanData | None
+) -> dict[ExpKey, TCoeff]:
+    """Multiply term dicts: the star product a * b twisted by the skew form
+    of cartan, comm(e) * comm(f) = v^Lambda(e,f) comm(e+f), or the
+    untwisted (t=1) product when cartan is None.
+
+    Each term of a gets one twist row, so each pair of terms costs one dot
+    product and one tuple sum in the dense frame of a and b."""
+    frame = _DenseFrame(chain(a, b), cartan)
+    right = [(frame.dense(k), c) for k, c in b.items()]
+    out: dict[tuple[int, ...], TCoeff] = {}
+    for ka, ca in a.items():
+        e = frame.dense(ka)
+        row = frame.twist(e)
+        for f, cb in right:
+            k = tuple(map(add, e, f))
+            target = out.get(k)
+            if target is None:
+                target = out[k] = {}
+            _add_product(target, ca, cb, sum(map(mul, row, f)) if row else 0)
+    return frame.sparse(out)
+
 
 def divide_terms(
     a: dict[ExpKey, TCoeff], d: dict[ExpKey, TCoeff], cartan: CartanData | None
@@ -458,42 +496,20 @@ def divide_terms(
     (partial quotient, remainder, reason) with a NonExactDivision reason.
     d must be nonzero.
 
-    Exponents become dense tuples over the vertices of a and d in reading
-    order, negated, so tuple order is the reverse of the lex order and a
-    min-heap of the remainder's keys pops its leading term.  Each step
-    subtracts d times one new quotient term, and the v-power of each product
-    comes from a twist row cached per divisor term."""
+    Exponents are dense in the frame of a and d, so a min-heap of the
+    remainder's keys pops its leading term.  Each step subtracts d times one
+    new quotient term, and the v-power of each product comes from a twist
+    row cached per divisor term."""
     if not a:
         return {}, {}, None
-    verts = sorted({u for k in chain(a, d) for u, _ in k}, key=vertex_sort_key)
-    col = {u: j for j, u in enumerate(verts)}
-
-    def dense(key: ExpKey) -> tuple[int, ...]:
-        out = [0] * len(verts)
-        for u, e in key:
-            out[col[u]] = -e
-        return tuple(out)
-
-    def sparse(terms: dict) -> dict[ExpKey, TCoeff]:
-        return {
-            tuple((verts[j], -e) for j, e in enumerate(k) if e): c
-            for k, c in terms.items()
-            if c
-        }
-
+    frame = _DenseFrame(chain(a, d), cartan)
+    dense, sparse = frame.dense, frame.sparse
     rem = {dense(k): c for k, c in a.items()}
     den = {dense(k): c for k, c in d.items()}
     # the degree box; negating exponents maps it onto the same formula
     lo = tuple(map(sub, map(min, zip(*rem)), map(min, zip(*den))))
     hi = tuple(map(sub, map(max, zip(*rem)), map(max, zip(*den))))
-    if cartan is None:
-        rows = dict.fromkeys(den)
-    else:
-        # Lambda(e, x) = e . L . x, and the negations of e and x cancel
-        lam_cols = [
-            [f_form(cartan, i, j, s - r) for (i, r) in verts] for (j, s) in verts
-        ]
-        rows = {kd: tuple(sum(map(mul, kd, lc)) for lc in lam_cols) for kd in den}
+    rows = {kd: frame.twist(kd) for kd in den}
     lead = min(den)
     lead_coeff, lead_row = den[lead], rows[lead]
     rest = [(kd, cd, rows[kd]) for kd, cd in den.items() if kd != lead]
@@ -518,22 +534,15 @@ def divide_terms(
             return sparse(quot), sparse(rem), NonExactDivision.NON_EXACT_COEFFICIENT
         quot[ex] = cx
         # rem -= d * term; the leading product cancels cm exactly
+        neg_cx = tc_neg(cx)
         for kd, cd, row in rest:
             k = tuple(map(add, kd, ex))
-            shift = sum(map(mul, row, ex)) if row else 0
             old = rem.get(k)
             if old is None:
                 heappush(heap, k)
             # a fresh dict, so the coefficients of a are never written to
             target = rem[k] = {} if old is None else dict(old)
-            for p, c1 in cd.items():
-                p += shift
-                for q, c2 in cx.items():
-                    n = target.get(p + q, 0) - c1 * c2
-                    if n:
-                        target[p + q] = n
-                    else:
-                        del target[p + q]
+            _add_product(target, cd, neg_cx, sum(map(mul, row, ex)) if row else 0)
     return sparse(quot), {}, None
 
 

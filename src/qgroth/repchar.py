@@ -3,9 +3,8 @@
 Provides the distinguished mutation sequence that produces fundamental
 (q,t)-characters as quantum cluster variables, an independent classical
 q-character oracle (iterative ladder expansion, valid for the thin
-fundamental modules exercised here), truncated prefundamental characters,
-the quantized Baxter relation, the Drinfeld-double relation battery, and
-the type-A thinness check.
+fundamental modules exercised here), the quantized Baxter relation, the
+Drinfeld-double relation battery, and the type-A thinness check.
 """
 
 from __future__ import annotations
@@ -162,40 +161,6 @@ def fm_qchar_embedded(c: CartanData, i: int, r: int) -> dict:
     for mono in classical_fm_qchar(c, i, r):
         total = total + embed_Y(c, dict(mono))
     return evaluate_t1(total)
-
-
-# ----------------------------------------------------------- prefundamentals
-
-@dataclass(frozen=True)
-class Prefundamental:
-    monomial: TorusElement            # the z-variable carrying the class
-    weight: tuple[int, ...]           # doubled fundamental-weight coordinates
-    chi_truncated: dict[tuple[int, ...], int]
-    depth: int
-
-
-def prefundamental_qt_character(
-    c: CartanData, i: int, r: int, depth: int
-) -> Prefundamental:
-    """Truncation of the prefundamental class: exact monomial and weight
-    factor for any type, character factor implemented in rank 1 only."""
-    if depth < 0:
-        raise RepCharError("depth must be non-negative")
-    if not c.in_ihat(i, r):
-        raise RepCharError(f"({i},{r}) lies off the vertex lattice")
-    weight = tuple(r if j == i else 0 for j in c.nodes)
-    if (c.dynkin_type, c.rank) != ("A", 1):
-        raise RepCharError(
-            "the character factor is only available in type A1; "
-            "no closed formula is implemented for higher rank"
-        )
-    chi = {(-2 * l,): 1 for l in range(depth + 1)}
-    return Prefundamental(
-        monomial=TorusElement.monomial(c, {(i, r): 1}),
-        weight=weight,
-        chi_truncated=chi,
-        depth=depth,
-    )
 
 
 # ------------------------------------------------------------ Baxter relation

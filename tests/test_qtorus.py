@@ -1,8 +1,12 @@
 import random
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgroth.cartan import build_cartan
+from qgroth.qcluster import cp_mul
 from qgroth.qtorus import (
     NonExactDivision,
     TorusElement,
@@ -15,6 +19,7 @@ from qgroth.qtorus import (
     make_key,
     monomial,
     tc_exact_div,
+    vertex_sort_key,
     weight_character,
     weight_mul,
 )
@@ -318,3 +323,106 @@ class TestRendering:
 
     def test_zero(self, a1):
         assert TorusElement.zero(a1).to_text() == "0"
+
+
+# ------------------------------------------------ references for the dense core
+
+def ref_key_sum(ke, kf):
+    exp = dict(ke)
+    for u, e in kf:
+        exp[u] = exp.get(u, 0) + e
+    return make_key(exp)
+
+
+def ref_star(a, b):
+    """The pairwise star product: one lambda_of per pair of terms."""
+    out = {}
+    for ke, ce in a.terms.items():
+        for kf, cf in b.terms.items():
+            shift = lambda_of(a.cartan, ke, kf)
+            acc = out.setdefault(ref_key_sum(ke, kf), {})
+            for p, x in ce.items():
+                for q, y in cf.items():
+                    acc[p + q + shift] = acc.get(p + q + shift, 0) + x * y
+    out = {k: {p: n for p, n in c.items() if n} for k, c in out.items()}
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_cp_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ref_key_sum(ka, kb)
+            out[k] = out.get(k, 0) + va * vb
+    return {k: n for k, n in out.items() if n}
+
+
+def ref_key_cmp(a, b):
+    """Lex comparison along the reading order; a missing vertex counts as 0."""
+    ea, eb = dict(a), dict(b)
+    for u in sorted(ea.keys() | eb.keys(), key=vertex_sort_key):
+        x, y = ea.get(u, 0), eb.get(u, 0)
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
+REF_CARTANS = {
+    label: (c, [(i, r) for i in c.nodes for r in range(-4, 5) if c.in_ihat(i, r)])
+    for label, c in (("A3", build_cartan("A", 3)), ("D4", build_cartan("D", 4)))
+}
+
+
+@st.composite
+def mixed_elements(draw, label, max_terms=5):
+    """Elements with coefficients of both signs, so products can cancel."""
+    c, verts = REF_CARTANS[label]
+    out = TorusElement.zero(c)
+    for _ in range(draw(st.integers(1, max_terms))):
+        support = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True))
+        exp = {v: draw(st.integers(-2, 2)) for v in support}
+        coeff = {draw(st.integers(-2, 2)): draw(st.integers(-3, 3))}
+        out = out + monomial(c, exp, coeff)
+    return out
+
+
+REF_SETTINGS = settings(max_examples=80, deadline=None, database=None)
+
+
+class TestDenseCoreAgainstReferences:
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
+    def test_star_product(self, data, label):
+        a = data.draw(mixed_elements(label))
+        b = data.draw(mixed_elements(label))
+        assert (a * b).terms == ref_star(a, b)
+
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
+    def test_classical_product(self, data, label):
+        a = evaluate_t1(data.draw(mixed_elements(label)))
+        b = evaluate_t1(data.draw(mixed_elements(label)))
+        assert cp_mul(a, b) == ref_cp_mul(a, b)
+
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
+    def test_term_order(self, data, label):
+        x = data.draw(mixed_elements(label, max_terms=8))
+        if not x:
+            return
+        want = sorted(x.terms, key=cmp_to_key(ref_key_cmp), reverse=True)
+        assert x.sorted_keys() == want
+        assert (x.lead_key(), x.trail_key()) == (want[0], want[-1])
+
+    def test_term_order_disjoint_supports(self, d4):
+        # z[2,3] leads: it is the only key with a nonzero exponent at level 3,
+        # the top level present; z[1,2]^-1 trails behind the empty key
+        exps = [{(1, 2): -1}, {(2, 3): 1}, {(3, 0): -2, (4, 0): 1}, {}, {(1, 2): 1, (3, 0): -1}]
+        x = TorusElement.zero(d4)
+        for e in exps:
+            x = x + monomial(d4, e)
+        keys = [make_key(e) for e in exps]
+        want = sorted(keys, key=cmp_to_key(ref_key_cmp), reverse=True)
+        assert want[0] == make_key({(2, 3): 1}) and want[-1] == make_key({(1, 2): -1})
+        assert x.sorted_keys() == want
+        assert (x.lead_key(), x.trail_key()) == (want[0], want[-1])

@@ -10,7 +10,6 @@ from qgroth.repchar import (
     fm_qchar_embedded,
     fundamental_qt_character,
     mutation_sequence,
-    prefundamental_qt_character,
     thinness_flatten_check,
 )
 from qgroth.verify import A2_SEQUENCE_GOLDEN, D4_SEQUENCE_GOLDEN, type_a_origins
@@ -124,28 +123,6 @@ class TestClassicalOracle:
     def test_budget(self, a2):
         with pytest.raises(RepCharError):
             classical_fm_qchar(a2, 1, 0, budget=1)
-
-
-class TestPrefundamental:
-    def test_depth_three(self, a1):
-        pre = prefundamental_qt_character(a1, 1, 0, 3)
-        assert pre.chi_truncated == {(0,): 1, (-2,): 1, (-4,): 1, (-6,): 1}
-        assert pre.monomial == TorusElement.monomial(a1, {(1, 0): 1})
-        assert pre.weight == (0,)
-
-    def test_depth_zero(self, a1):
-        assert prefundamental_qt_character(a1, 1, -2, 0).chi_truncated == {(0,): 1}
-
-    def test_weight_carries_level(self, a1):
-        assert prefundamental_qt_character(a1, 1, -2, 1).weight == (-2,)
-
-    def test_higher_rank_rejected(self, a2):
-        with pytest.raises(RepCharError):
-            prefundamental_qt_character(a2, 1, 0, 2)
-
-    def test_negative_depth_rejected(self, a1):
-        with pytest.raises(RepCharError):
-            prefundamental_qt_character(a1, 1, 0, -1)
 
 
 class TestBaxter:
