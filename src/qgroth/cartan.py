@@ -10,18 +10,23 @@ Node numbering follows the Bourbaki convention:
   node 4.
 
 The inverse of the quantum Cartan matrix C(z) is a matrix of power series
-in z; its integer coefficients ctilde(i, j, m) are computed by the linear
-recurrence
+in z.  Its integer coefficients ctilde(i, j, m) form matrices Ct(m), and the
+z-variable skew form has matrices F(m) = -(Ct(m-1) + Ct(m-3) + ...).  With
+A the adjacency matrix of the Dynkin graph,
 
-    ctilde(i, j, m + 1) = -ctilde(i, j, m - 1) + sum_{k ~ j} ctilde(i, k, m)
+    Ct(m + 1) = Ct(m) A - Ct(m - 1),  Ct(0) = 0,  Ct(1) = 1,
+    F(m) = F(m - 2) - Ct(m - 1),      F(0) = F(1) = 0,
 
-seeded by ctilde(i, j, 0) = 0 and ctilde(i, j, 1) = delta_{ij}.  Everything
-downstream (the skew forms on the two quantum tori) is derived from these
-integers, so no rational-function arithmetic is ever needed.
+and each Ct(m), a polynomial in A, is symmetric.  One table per CartanData
+holds (Ct(m), F(m)) per degree as Python-int matrices, extended on demand by
+these recurrences; ctilde, n_form, f_form and skew_form (the form
+Lambda((i,r),(j,s)) = F_ij(s - r) on a vertex list) all read it, so no
+rational-function arithmetic is ever needed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,12 +75,10 @@ class CartanData:
     cartan: np.ndarray
     adjacency: frozenset[frozenset[int]]
     dual_coxeter: int
+    # _table[m] = (Ct(m), F(m)), filled on demand from the two seed degrees
+    _table: list[tuple[list[list[int]], list[list[int]]]] = field(repr=False)
     _neighbors: dict[int, tuple[int, ...]] = field(repr=False, default_factory=dict)
     _node_class: dict[int, int] = field(repr=False, default_factory=dict)
-    # per column j: list of rows [ctilde(i, j, m) for i in 1..n], filled on demand
-    _ctilde: dict[int, list[np.ndarray]] = field(repr=False, default_factory=dict)
-    # (i, j, m) -> f_form value; the star product hits this constantly
-    _fform: dict[tuple[int, int, int], int] = field(repr=False, default_factory=dict)
 
     @property
     def nodes(self) -> range:
@@ -135,6 +138,7 @@ def build_cartan(type_label: str, rank: int) -> CartanData:
                     nxt.append(j)
         frontier = nxt
 
+    zero = np.zeros_like(cartan).tolist()
     return CartanData(
         dynkin_type=type_label,
         rank=rank,
@@ -143,24 +147,22 @@ def build_cartan(type_label: str, rank: int) -> CartanData:
         dual_coxeter=DUAL_COXETER[type_label](rank),
         _neighbors=neighbors,
         _node_class=node_class,
+        _table=[(zero, zero), (np.eye(rank, dtype=np.int64).tolist(), zero)],
     )
 
 
-def _ctilde_column(c: CartanData, j: int, m: int) -> list[np.ndarray]:
-    """Rows ctilde(., j, k) for k <= m, extending the memoized table."""
-    col = c._ctilde.setdefault(j, [])
-    if not col:
-        zero = np.zeros(c.rank, dtype=np.int64)
-        delta = np.zeros(c.rank, dtype=np.int64)
-        delta[j - 1] = 1
-        col.extend([zero, delta])
-    while len(col) <= m:
-        k = len(col) - 1
-        acc = -col[k - 1].copy()
-        for nb in c.neighbors(j):
-            acc += _ctilde_column(c, nb, k)[k]
-        col.append(acc)
-    return col
+def _degrees(c: CartanData, m: int) -> list[tuple[list[list[int]], list[list[int]]]]:
+    """The degree table, extended through degree m >= 0."""
+    table = c._table
+    while len(table) <= m:
+        (ct1, _), (ct2, f2) = table[-1], table[-2]
+        ct = [
+            [sum(row1[k - 1] for k in c._neighbors[j]) - row2[j - 1] for j in c.nodes]
+            for row1, row2 in zip(ct1, ct2)
+        ]
+        f = [[x - y for x, y in zip(rowf, row1)] for rowf, row1 in zip(f2, ct1)]
+        table.append((ct, f))
+    return table
 
 
 def ctilde(c: CartanData, i: int, j: int, m: int) -> int:
@@ -169,7 +171,7 @@ def ctilde(c: CartanData, i: int, j: int, m: int) -> int:
     c._check_node(j)
     if m < 0:
         raise CartanError(f"ctilde degree must be non-negative, got {m}")
-    return int(_ctilde_column(c, j, m)[m][i - 1])
+    return _degrees(c, m)[m][0][i - 1][j - 1]
 
 
 def n_form(c: CartanData, i: int, j: int, m: int) -> int:
@@ -182,8 +184,7 @@ def n_form(c: CartanData, i: int, j: int, m: int) -> int:
         return 0
     if m < 0:
         return -n_form(c, i, j, -m)
-    low = ctilde(c, i, j, m - 1) if m >= 1 else 0
-    return ctilde(c, i, j, m + 1) - low
+    return ctilde(c, i, j, m + 1) - ctilde(c, i, j, m - 1)
 
 
 def f_form(c: CartanData, i: int, j: int, m: int) -> int:
@@ -192,16 +193,24 @@ def f_form(c: CartanData, i: int, j: int, m: int) -> int:
     Antisymmetric in m; for m >= 0 it is -sum_{k>=1, m>=2k-1} ctilde(m-2k+1),
     i.e. minus the sum of ctilde over degrees m-1, m-3, ..., down to 0 or 1.
     """
-    if m == 0:
-        c._check_node(i)
-        c._check_node(j)
-        return 0
     if m < 0:
         return -f_form(c, i, j, -m)
-    cached = c._fform.get((i, j, m))
-    if cached is None:
-        cached = -sum(
-            ctilde(c, i, j, m - 2 * k + 1) for k in range(1, (m + 1) // 2 + 1)
-        )
-        c._fform[(i, j, m)] = cached
-    return cached
+    c._check_node(i)
+    c._check_node(j)
+    return _degrees(c, m)[m][1][i - 1][j - 1]
+
+
+def skew_form(c: CartanData, verts: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The skew form on a list of vertices (i, r): entry [a][b] is
+    Lambda(verts[a], verts[b]) = f_form(i_a, i_b, r_b - r_a)."""
+    for i, _ in verts:
+        c._check_node(i)
+    levels = [r for _, r in verts]
+    table = _degrees(c, max(levels, default=0) - min(levels, default=0))
+    return [
+        [
+            table[s - r][1][i - 1][j - 1] if s >= r else -table[r - s][1][i - 1][j - 1]
+            for j, s in verts
+        ]
+        for i, r in verts
+    ]

@@ -1,10 +1,11 @@
 """Skew form on a quiver slice and compatible-pair verification.
 
-The skew-symmetric matrix Lambda over the slice vertices is built from the
-level-gap form on pairs of vertices; together with the exchange matrix it
-forms a compatible pair, meaning B^T Lambda is diagonal on the exchangeable
-columns.  For this construction the diagonal is the constant -2; the checker
-reports the signed diagonal rather than insisting on a positivity convention.
+The skew-symmetric matrix Lambda over the slice vertices is the level-gap
+form cartan.skew_form on the slice's vertex list; together with the exchange
+matrix it forms a compatible pair, meaning B^T Lambda is diagonal on the
+exchangeable columns.  For this construction the diagonal is the constant
+-2; the checker reports the signed diagonal rather than insisting on a
+positivity convention.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import CartanData, f_form
+from .cartan import CartanData, skew_form
 from .quiver import QuiverError, QuiverSlice, e_matrix
 
 
@@ -33,15 +34,7 @@ class CompatReport:
 
 def build_lambda(c: CartanData, slc: QuiverSlice) -> np.ndarray:
     """Skew form matrix: entry ((i,r),(j,s)) is the gap form at (i, j, s-r)."""
-    m = len(slc.vertices)
-    lam = np.zeros((m, m), dtype=np.int64)
-    for a, (i, r) in enumerate(slc.vertices):
-        for b_, (j, s) in enumerate(slc.vertices):
-            if a < b_:
-                val = f_form(c, i, j, s - r)
-                lam[a, b_] = val
-                lam[b_, a] = -val
-    return lam
+    return np.array(skew_form(c, slc.vertices), dtype=np.int64)
 
 
 def check_compatible(

@@ -16,6 +16,8 @@ as an independent cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -100,22 +102,24 @@ def initial_seed(c: CartanData, slc: QuiverSlice) -> QuantumSeed:
     )
 
 
-def _frame_monomial(seed: QuantumSeed, exps: dict[int, int]) -> TorusElement:
-    """Bar-invariant monomial of the current cluster with row exponents exps.
+def _frame_monomial(
+    seed: QuantumSeed, exps: dict[int, int], shift: int
+) -> TorusElement:
+    """Bar-invariant monomial of the current cluster with row exponents exps,
+    times v^shift.
 
-    Computes v^{-sum_{u<w} a_u a_w Lambda_cur(u,w)} times the ordered star
-    product of the current variables, rows ascending."""
+    Computes v^{shift - sum_{u<w} a_u a_w Lambda_cur(u,w)} times the ordered
+    star product of the current variables, rows ascending."""
     rows = sorted(exps)
     lam = seed.lambda_current
-    vexp = 0
     for a_idx, u in enumerate(rows):
         for w in rows[a_idx + 1 :]:
-            vexp -= exps[u] * exps[w] * int(lam[u, w])
-    prod = TorusElement.monomial(seed.cartan, {}, {vexp: 1})
+            shift -= exps[u] * exps[w] * int(lam[u, w])
     verts = seed.slice.vertices
-    for u in rows:
-        prod = prod * seed.vars[verts[u]] ** exps[u]
-    return prod
+    factors = [seed.vars[verts[u]] for u in rows for _ in range(exps[u])]
+    if not factors:
+        return TorusElement.monomial(seed.cartan, {}, {shift: 1})
+    return reduce(mul, factors).scaled({shift: 1})
 
 
 def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
@@ -130,9 +134,9 @@ def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
     gamma_plus = sum(int(lam[rk, u]) * e for u, e in a_plus.items())
     gamma_minus = sum(int(lam[rk, u]) * e for u, e in a_minus.items())
 
-    s = _frame_monomial(seed, a_plus).scaled({gamma_plus: 1}) + _frame_monomial(
-        seed, a_minus
-    ).scaled({gamma_minus: 1})
+    s = _frame_monomial(seed, a_plus, gamma_plus) + _frame_monomial(
+        seed, a_minus, gamma_minus
+    )
     try:
         new_var = exact_left_divide(s, seed.vars[k])
     except TorusError as exc:

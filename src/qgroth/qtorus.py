@@ -27,9 +27,9 @@ once; a candidate outside the box certifies at once that no quotient exists.
 One dense exponent frame serves the star product, the division and the term
 order.  It indexes the vertices of the operands in reading order and stores
 exponents negated, so plain tuple order is the reverse of the lex order.
-With Cartan data it also holds the skew form on those vertices, and each
-left factor's twist is one row of it.  The classical (t=1) engine runs the
-same product and division at zero twist.
+With Cartan data it also holds the skew form on those vertices, read from
+cartan.skew_form, and each left factor's twist is one row of it.  The
+classical (t=1) engine runs the same product and division at zero twist.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import add, le, mul, sub
 
-from .cartan import CartanData, f_form
+from .cartan import CartanData, f_form, skew_form
 
 Vertex = tuple[int, int]
 TCoeff = dict[int, int]          # v-exponent -> integer coefficient
@@ -169,26 +169,18 @@ class _DenseFrame:
     exponents, so plain tuple order on dense vectors is the reverse of the
     lex order along the reading order (a vertex missing from a key counts as
     exponent 0), and min picks the leading term.  sparse(terms) maps dense
-    keys back to ExpKeys.  With Cartan data the frame holds the skew form on
-    its vertices, and twist(e) is the Lambda row of the dense exponent e:
-    Lambda(e, f) = twist(e) . f, since the negations of e and f cancel.
+    keys back to ExpKeys.  With Cartan data the frame holds the skew form
+    lam on its vertices, and twist(e) is the Lambda row of the dense
+    exponent e: Lambda(e, f) = twist(e) . f, since the negations of e and f
+    cancel.  Lambda is skew, so entry b of twist(e) is -(lam[b] . e).
     Without Cartan data twist(e) is None, the untwisted (t=1) ring."""
 
-    __slots__ = ("verts", "col", "lam_cols")
+    __slots__ = ("verts", "col", "lam")
 
     def __init__(self, keys, cartan: CartanData | None = None):
         self.verts = sorted({u for k in keys for u, _ in k}, key=vertex_sort_key)
         self.col = {u: j for j, u in enumerate(self.verts)}
-        self.lam_cols = None
-        if cartan is not None:
-            # lam_cols[b][a] = Lambda(verts[a], verts[b]); Lambda is skew, so
-            # each f_form call fills two entries, always at a gap s - r >= 0
-            n = len(self.verts)
-            self.lam_cols = [[0] * n for _ in range(n)]
-            for a, (i, r) in enumerate(self.verts):
-                for b, (j, s) in enumerate(self.verts[:a]):
-                    self.lam_cols[b][a] = f = f_form(cartan, i, j, s - r)
-                    self.lam_cols[a][b] = -f
+        self.lam = None if cartan is None else skew_form(cartan, self.verts)
 
     def dense(self, key: ExpKey) -> tuple[int, ...]:
         out = [0] * len(self.verts)
@@ -205,9 +197,9 @@ class _DenseFrame:
         }
 
     def twist(self, e: tuple[int, ...]) -> tuple[int, ...] | None:
-        if self.lam_cols is None:
+        if self.lam is None:
             return None
-        return tuple(sum(map(mul, e, lc)) for lc in self.lam_cols)
+        return tuple(-sum(map(mul, e, row)) for row in self.lam)
 
 
 def lambda_of(c: CartanData, e: ExpKey | dict, f: ExpKey | dict) -> int:
@@ -287,14 +279,6 @@ class TorusElement:
         """Star product: comm(e) * comm(f) = v^Lambda(e,f) comm(e+f)."""
         self._check_peer(other)
         return TorusElement(self.cartan, multiply_terms(self.terms, other.terms, self.cartan))
-
-    def __pow__(self, n: int) -> "TorusElement":
-        if n < 0:
-            raise TorusError("negative powers only via explicit inverse monomials")
-        acc = TorusElement.one(self.cartan)
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def scaled(self, coeff: TCoeff | int) -> "TorusElement":
         if isinstance(coeff, int):

@@ -2,9 +2,10 @@
 
 Provides the distinguished mutation sequence that produces fundamental
 (q,t)-characters as quantum cluster variables, an independent classical
-q-character oracle (iterative ladder expansion, valid for the thin
-fundamental modules exercised here), the quantized Baxter relation, the
-Drinfeld-double relation battery, and the type-A thinness check.
+q-character oracle (iterative ladder expansion, valid for the fundamental
+modules of minuscule nodes only, and refusing every other node), the
+quantized Baxter relation, the Drinfeld-double relation battery, and the
+type-A thinness check.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .qcluster import QuantumSeed, initial_seed, mutate_along
 from .qtorus import (
     TorusElement,
     TorusError,
+    a_monomial,
     embed_Y,
     evaluate_t1,
     weight_character,
@@ -111,12 +113,12 @@ def fundamental_qt_character(
 FM_DEFAULT_BUDGET = 10000
 
 
-def _ladder(c: CartanData, j: int, s: int) -> dict[Vertex, int]:
-    # root-monomial exponent pattern anchored at Y-key (j, s)
-    out = {(j, s): 1, (j, s + 2): 1}
-    for l in c.neighbors(j):
-        out[(l, s + 1)] = out.get((l, s + 1), 0) - 1
-    return out
+# Minuscule nodes in Bourbaki numbering, per type and rank.
+MINUSCULE_NODES = {
+    "A": lambda n: tuple(range(1, n + 1)),
+    "D": lambda n: (1, n - 1, n),
+    "E": lambda n: {6: (1, 6), 7: (7,), 8: ()}[n],
+}
 
 
 def classical_fm_qchar(
@@ -126,9 +128,12 @@ def classical_fm_qchar(
     (i, r), by iterated ladder expansion from the dominant monomial.
 
     Each positive Y-factor of a monomial spawns the monomial obtained by
-    dividing out the ladder anchored at that factor.  For the thin modules
-    tested here every monomial has multiplicity 1, so the expansion is a
-    plain saturation; the budget guards against misuse."""
+    dividing out the root monomial anchored at that factor.  This plain
+    saturation gives every monomial multiplicity 1, which is right only for
+    minuscule nodes, so any other node i is refused with RepCharError; the
+    budget guards against misuse."""
+    if i not in MINUSCULE_NODES[c.dynkin_type](c.rank):
+        raise RepCharError(f"node {i} of {c.dynkin_type}{c.rank} is not minuscule")
     if not c.in_ihat(i, r):
         raise RepCharError(f"highest Y-key ({i},{r}) lies off the vertex lattice")
     start = frozenset({((i, r), 1)})
@@ -138,7 +143,7 @@ def classical_fm_qchar(
         if len(seen) > budget:
             raise RepCharError(
                 f"q-character expansion exceeded budget {budget}; "
-                "oracle is only valid for thin fundamental modules"
+                "oracle is only valid for minuscule fundamental modules"
             )
         mono = queue.pop()
         exp = dict(mono)
@@ -146,7 +151,7 @@ def classical_fm_qchar(
             if e <= 0:
                 continue
             nxt = dict(exp)
-            for key, de in _ladder(c, j, s).items():
+            for key, de in a_monomial(c, j, s + 3).items():
                 nxt[key] = nxt.get(key, 0) - de
             cand = frozenset(kv for kv in nxt.items() if kv[1] != 0)
             if cand not in seen:

@@ -1,6 +1,18 @@
+import random
+
+import numpy as np
 import pytest
 
-from qgroth.cartan import CartanError, build_cartan, ctilde, f_form, n_form
+from qgroth.cartan import (
+    CartanError,
+    build_cartan,
+    ctilde,
+    f_form,
+    n_form,
+    skew_form,
+)
+from qgroth.compat import build_lambda
+from qgroth.quiver import build_slice
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
@@ -162,6 +174,66 @@ class TestFForm:
             for j in c.nodes:
                 for m in range(1, 15):
                     assert f_form(c, i, j, -m) == -f_form(c, i, j, m)
+
+    @pytest.mark.parametrize("label,rank", ALL_TYPES)
+    def test_definition(self, label, rank):
+        # f(m) = -(ctilde(m-1) + ctilde(m-3) + ...), down to degree 0 or 1
+        c = build_cartan(label, rank)
+        for i in c.nodes:
+            for j in c.nodes:
+                for m in range(0, 41):
+                    want = -sum(ctilde(c, i, j, d) for d in range(m - 1, -1, -2))
+                    assert f_form(c, i, j, m) == want, (i, j, m)
+
+
+SKEW_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+    ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8),
+]
+
+
+class TestSkewForm:
+    @pytest.mark.parametrize("label,rank", SKEW_TYPES)
+    def test_matches_f_form_on_random_vertex_lists(self, label, rank):
+        c = build_cartan(label, rank)
+        rng = random.Random(f"{label}{rank}")
+        for _ in range(20):
+            # unsorted, levels repeating, gaps up to 40 in either direction
+            levels = rng.sample(range(-20, 21), rng.randint(1, 6))
+            verts = [
+                (rng.choice(c.nodes), rng.choice(levels))
+                for _ in range(rng.randint(0, 12))
+            ]
+            lam = skew_form(c, verts)
+            assert len(lam) == len(verts)
+            for a, (i, r) in enumerate(verts):
+                assert len(lam[a]) == len(verts)
+                for b, (j, s) in enumerate(verts):
+                    assert lam[a][b] == f_form(c, i, j, s - r), (verts, a, b)
+
+    @pytest.mark.parametrize("label,rank", SKEW_TYPES)
+    def test_build_lambda_is_skew_form(self, label, rank):
+        c = build_cartan(label, rank)
+        lo = random.Random(f"{label}{rank}").randint(-6, 6)
+        slc = build_slice(c, window=(lo, lo + 9))
+        lam = build_lambda(c, slc)
+        assert lam.dtype == np.int64
+        assert lam.tolist() == skew_form(c, slc.vertices)
+
+    @pytest.mark.parametrize("label,rank", ALL_TYPES)
+    def test_out_of_range_nodes_rejected(self, label, rank):
+        c = build_cartan(label, rank)
+        for bad in (0, rank + 1):
+            for m in (0, 1, 4):
+                for fn in (ctilde, n_form, f_form):
+                    with pytest.raises(CartanError):
+                        fn(c, bad, 1, m)
+                    with pytest.raises(CartanError):
+                        fn(c, 1, bad, m)
+            with pytest.raises(CartanError):
+                skew_form(c, [(bad, 0)])
+            with pytest.raises(CartanError):
+                skew_form(c, [(1, 0), (bad, 3)])
 
 
 class TestLattice:

@@ -114,6 +114,14 @@ class TestOracle:
         assert code == 0
         assert out.strip() == "Y[2,3]^-1 + Y[1,2]^-1Y[2,1] + Y[1,0]"
 
+    def test_non_minuscule_node_is_a_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, ["oracle", "--type", "D", "--rank", "4", "--i", "2", "--r", "1"]
+        )
+        assert code == 2
+        assert not out
+        assert "minuscule" in err
+
 
 class TestBaxterAndDrinfeld:
     def test_baxter(self, capsys):

@@ -87,6 +87,14 @@ class TestFundamentalCharacter:
         assert evaluate_t1(char.value) == fm_qchar_embedded(c, 1, 0)
         assert len(char.value.terms) == 8
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("i", [3, 4])
+    def test_d4_spin_nodes_match_oracle(self, i):
+        c = build_cartan("D", 4)
+        char = fundamental_qt_character(c, i, 0)
+        assert evaluate_t1(char.value) == fm_qchar_embedded(c, i, 0)
+        assert len(char.value.terms) == 8
+
 
 class TestClassicalOracle:
     def test_a1(self, a1):
@@ -123,6 +131,30 @@ class TestClassicalOracle:
     def test_budget(self, a2):
         with pytest.raises(RepCharError):
             classical_fm_qchar(a2, 1, 0, budget=1)
+
+    @pytest.mark.parametrize(
+        "label,rank,i,dim",
+        [
+            ("D", 4, 1, 8), ("D", 4, 3, 8), ("D", 4, 4, 8),
+            ("D", 5, 1, 10), ("D", 5, 5, 16),
+            ("E", 6, 1, 27), ("E", 6, 6, 27), ("E", 7, 7, 56),
+        ],
+    )
+    def test_minuscule_dimensions(self, label, rank, i, dim):
+        c = build_cartan(label, rank)
+        r = 0 if c.in_ihat(i, 0) else 1
+        chi = classical_fm_qchar(c, i, r)
+        assert len(chi) == dim
+        assert all(m == 1 for m in chi.values())
+
+    @pytest.mark.parametrize("label,rank,i", [("D", 4, 2), ("E", 8, 1)])
+    def test_non_minuscule_rejected(self, label, rank, i):
+        # the D4 node-2 module has a monomial of multiplicity 2 (dimension
+        # 29, 28 monomials); saturation would report 28 with multiplicity 1
+        c = build_cartan(label, rank)
+        r = 0 if c.in_ihat(i, 0) else 1
+        with pytest.raises(RepCharError, match="minuscule"):
+            classical_fm_qchar(c, i, r)
 
 
 class TestBaxter:
