@@ -6,6 +6,9 @@ matrix it forms a compatible pair, meaning B^T Lambda is diagonal on the
 exchangeable columns.  For this construction the diagonal is the constant
 -2; the checker reports the signed diagonal rather than insisting on a
 positivity convention.
+
+Mutation transports Lambda to E_k^T Lambda E_k.  As E_k - I is rank one,
+mutate_lambda rewrites only row and column rk, by two O(n^2) matvecs.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import CartanData, skew_form
-from .quiver import QuiverError, QuiverSlice, e_matrix
+from .quiver import QuiverError, QuiverSlice, _check_column, check_int64
 
 
 @dataclass(frozen=True)
@@ -49,21 +52,30 @@ def check_compatible(
             f"shape mismatch: B is {b.shape}, Lambda is {lam.shape}"
         )
     prod = b.T @ lam  # n x m
-    diag = [int(prod[k, rk]) for k, rk in enumerate(exch_rows)]
-    violations = []
-    for k in range(prod.shape[0]):
-        for u in range(prod.shape[1]):
-            if u == exch_rows[k]:
-                continue
-            if prod[k, u] != 0:
-                violations.append((k, u, int(prod[k, u])))
+    pivots = (np.arange(len(exch_rows)), list(exch_rows))
+    diag = tuple(prod[pivots].tolist())
+    prod[pivots] = 0
+    violations = tuple((k, u, int(prod[k, u])) for k, u in np.argwhere(prod).tolist())
     ok = not violations and all(d != 0 for d in diag) and len(set(diag)) == 1
-    return CompatReport(ok=ok, diag=tuple(diag), violations=tuple(violations))
+    return CompatReport(ok=ok, diag=diag, violations=violations)
 
 
 def mutate_lambda(
     lam: np.ndarray, b: np.ndarray, exch_rows: tuple[int, ...], k: int
 ) -> np.ndarray:
-    """Transport the skew form along a mutation: E_k^T Lambda E_k."""
-    e = e_matrix(b, exch_rows, k)
-    return e.T @ lam @ e
+    """Transport the skew form along a mutation: E_k^T Lambda E_k.
+
+    With c = max(0, -B[:, k]), c[rk] = -1 the column rk = exch_rows[k] of
+    E_k, this is Lambda with column rk set to Lambda c, row rk to c^T Lambda
+    and entry (rk, rk) to c^T Lambda c, for any square Lambda.  Raises
+    QuiverError rather than wrap past int64 (bound max|Lambda| |c|_1^2)."""
+    _check_column(b, exch_rows, k)
+    rk = exch_rows[k]
+    c = np.maximum(0, -b[:, k])
+    c[rk] = -1
+    check_int64(int(np.abs(lam).max()) * sum(map(abs, c.tolist())) ** 2, "Lambda", k)
+    out = lam.astype(np.int64)
+    out[:, rk] = lam @ c
+    out[rk, :] = row = c @ lam
+    out[rk, rk] = row @ c
+    return out

@@ -138,20 +138,29 @@ def _check_column(b: np.ndarray, exch_rows: tuple[int, ...], k: int) -> None:
         raise QuiverError("exch_rows length must match the number of columns")
 
 
+def check_int64(bound: int, what: str, k: int) -> None:
+    """Refuse a mutation whose intermediate values may reach 2^63.  Guarded
+    outputs stay inside (-2^63, 2^63), so np.abs of them cannot wrap."""
+    if bound >= 2**63:
+        raise QuiverError(f"{what} mutation at column {k} may overflow int64: bound {bound}")
+
+
 def mutate_matrix(b: np.ndarray, exch_rows: tuple[int, ...], k: int) -> np.ndarray:
     """Exchange-matrix mutation in direction k (a column index).
 
     b'_{ij} = -b_{ij} when i or j is the mutation direction, and otherwise
-    b_{ij} + (|b_{ik}| b_{kj} + b_{ik} |b_{kj}|) / 2."""
+    b_{ij} + (|b_{ik}| b_{kj} + b_{ik} |b_{kj}|) / 2, rewritten only where
+    column k and its pivot row are nonzero.  Raises QuiverError, never wraps."""
     _check_column(b, exch_rows, k)
     rk = exch_rows[k]
-    col_k = b[:, k]
-    row_k = b[rk, :]
-    out = b + (np.abs(col_k[:, None]) * row_k[None, :]
-               + col_k[:, None] * np.abs(row_k[None, :])) // 2
-    out[:, k] = -b[:, k]
-    out[rk, :] = -b[rk, :]
-    out[rk, k] = -b[rk, k]
+    col, row = b[:, k], b[rk, :]
+    mb, mc, mr = (int(np.abs(x).max()) for x in (b, col, row))
+    check_int64(mb + 2 * mc * mr, "B", k)
+    i, j = np.ix_(np.flatnonzero(col), np.flatnonzero(row))
+    out = b.copy()
+    out[i, j] += (np.abs(col[i]) * row[j] + col[i] * np.abs(row[j])) // 2
+    out[:, k] = -col
+    out[rk, :] = -row
     return out
 
 

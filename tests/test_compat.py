@@ -5,8 +5,22 @@ import pytest
 
 from qgroth.cartan import build_cartan
 from qgroth.compat import build_lambda, check_compatible, mutate_lambda
-from qgroth.quiver import QuiverError, build_slice, mutate_matrix
+from qgroth.quiver import QuiverError, build_slice, e_matrix, mutate_matrix
 from qgroth.verify import COMPAT_SWEEP_TYPES, D4_LAMBDA_GOLDEN
+
+
+def exact_mutation(b, lam, exch_rows, k):
+    """B and E_k^T Lambda E_k in Python ints (object arrays), by the dense
+    formulas: the reference for the int64 mutations."""
+    rk = exch_rows[k]
+    col, row = b[:, k], b[rk, :]
+    b1 = b + (abs(col[:, None]) * row[None, :] + col[:, None] * abs(row[None, :])) // 2
+    b1[:, k] = -col
+    b1[rk, :] = -row
+    e = np.identity(b.shape[0], dtype=object)
+    e[:, rk] = [max(0, -x) for x in col]
+    e[rk, rk] = -1
+    return b1, e.T @ lam @ e
 
 
 class TestBuildLambda:
@@ -118,3 +132,57 @@ class TestMutateLambda:
                     mutate_lambda(lam, b, slc.exch_rows, k),
                 )
             assert check_compatible(b, lam, slc.exch_rows).ok
+
+    def test_matches_dense_product(self):
+        # E^T L E rewritten on one row and column, for the true skew form and
+        # for arbitrary (non-skew) integer matrices, after a few random steps
+        rng = random.Random(17)
+        nrng = np.random.default_rng(17)
+        for _ in range(60):
+            label, rank = rng.choice(COMPAT_SWEEP_TYPES)
+            c = build_cartan(label, rank)
+            slc = build_slice(c, N=rng.randint(1, 2))
+            b, lam = slc.b_matrix, build_lambda(c, slc)
+            for _ in range(rng.randint(0, 4)):
+                k = rng.randrange(b.shape[1])
+                b, lam = (
+                    mutate_matrix(b, slc.exch_rows, k),
+                    mutate_lambda(lam, b, slc.exch_rows, k),
+                )
+            k = rng.randrange(b.shape[1])
+            ek = e_matrix(b, slc.exch_rows, k)
+            m = nrng.integers(-50, 51, size=lam.shape)
+            for mat in (lam, m):
+                assert np.array_equal(
+                    mutate_lambda(mat, b, slc.exch_rows, k), ek.T @ mat @ ek
+                )
+
+
+class TestOverflowGuard:
+    def test_long_paths_exact_or_raise(self):
+        # D4 N=2 random paths grow past int64 within 120 steps; every step
+        # must equal the exact result, or raise before any exact entry
+        # leaves int64
+        c = build_cartan("D", 4)
+        slc = build_slice(c, N=2)
+        raised = []
+        for seed in range(3):
+            rng = random.Random(seed)
+            b, lam = slc.b_matrix, build_lambda(c, slc)
+            xb, xlam = b.astype(object), lam.astype(object)
+            for step in range(120):
+                k = rng.randrange(b.shape[1])
+                xb, xlam = exact_mutation(xb, xlam, slc.exch_rows, k)
+                fits = all(abs(x) < 2**63 for x in (*xb.flat, *xlam.flat))
+                try:
+                    b, lam = (
+                        mutate_matrix(b, slc.exch_rows, k),
+                        mutate_lambda(lam, b, slc.exch_rows, k),
+                    )
+                except QuiverError as err:
+                    assert f"column {k}" in str(err)
+                    raised.append(seed)
+                    break
+                assert fits, f"seed {seed} step {step}: wrapped without an error"
+                assert np.array_equal(b, xb) and np.array_equal(lam, xlam)
+        assert raised
