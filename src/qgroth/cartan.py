@@ -182,9 +182,8 @@ def n_form(c: CartanData, i: int, j: int, m: int) -> int:
         c._check_node(i)
         c._check_node(j)
         return 0
-    if m < 0:
-        return -n_form(c, i, j, -m)
-    return ctilde(c, i, j, m + 1) - ctilde(c, i, j, m - 1)
+    n = ctilde(c, i, j, abs(m) + 1) - ctilde(c, i, j, abs(m) - 1)
+    return n if m > 0 else -n
 
 
 def f_form(c: CartanData, i: int, j: int, m: int) -> int:
@@ -193,24 +192,28 @@ def f_form(c: CartanData, i: int, j: int, m: int) -> int:
     Antisymmetric in m; for m >= 0 it is -sum_{k>=1, m>=2k-1} ctilde(m-2k+1),
     i.e. minus the sum of ctilde over degrees m-1, m-3, ..., down to 0 or 1.
     """
-    if m < 0:
-        return -f_form(c, i, j, -m)
     c._check_node(i)
     c._check_node(j)
-    return _degrees(c, m)[m][1][i - 1][j - 1]
+    f = _degrees(c, abs(m))[abs(m)][1][i - 1][j - 1]
+    return f if m >= 0 else -f
 
 
-def skew_form(c: CartanData, verts: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """The skew form on a list of vertices (i, r): entry [a][b] is
-    Lambda(verts[a], verts[b]) = f_form(i_a, i_b, r_b - r_a)."""
-    for i, _ in verts:
+def skew_form(
+    c: CartanData,
+    verts: Sequence[tuple[int, int]],
+    cols: Sequence[tuple[int, int]] | None = None,
+) -> list[list[int]]:
+    """The skew form between two lists of vertices (i, r), cols defaulting to
+    verts: entry [a][b] is Lambda(verts[a], cols[b]) = f_form(i_a, i_b, r_b - r_a)."""
+    cols = verts if cols is None else cols
+    for i in {i for i, _ in verts} | {i for i, _ in cols}:
         c._check_node(i)
-    levels = [r for _, r in verts]
+    levels = [r for _, r in (*verts, *cols)]
     table = _degrees(c, max(levels, default=0) - min(levels, default=0))
     return [
         [
             table[s - r][1][i - 1][j - 1] if s >= r else -table[r - s][1][i - 1][j - 1]
-            for j, s in verts
+            for j, s in cols
         ]
         for i, r in verts
     ]

@@ -14,6 +14,7 @@ mutate_lambda rewrites only row and column rk, by two O(n^2) matvecs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -68,14 +69,23 @@ def mutate_lambda(
     With c = max(0, -B[:, k]), c[rk] = -1 the column rk = exch_rows[k] of
     E_k, this is Lambda with column rk set to Lambda c, row rk to c^T Lambda
     and entry (rk, rk) to c^T Lambda c, for any square Lambda.  Raises
-    QuiverError rather than wrap past int64 (bound max|Lambda| |c|_1^2)."""
+    QuiverError rather than wrap past int64: max|Lambda| |c|_1 bounds the
+    new row and column and the partial sums of both matvecs; a corner that
+    |c|_1 times that does not bound is summed in Python ints and must fit."""
     _check_column(b, exch_rows, k)
     rk = exch_rows[k]
     c = np.maximum(0, -b[:, k])
     c[rk] = -1
-    check_int64(int(np.abs(lam).max()) * sum(map(abs, c.tolist())) ** 2, "Lambda", k)
+    l1 = sum(map(abs, c.tolist()))
+    bound = int(np.abs(lam).max()) * l1
+    check_int64(bound, "Lambda", k)
     out = lam.astype(np.int64)
     out[:, rk] = lam @ c
     out[rk, :] = row = c @ lam
-    out[rk, rk] = row @ c
+    if bound * l1 < 2**63:
+        out[rk, rk] = row @ c
+    else:
+        corner = sum(map(mul, row.tolist(), c.tolist()))
+        check_int64(abs(corner), "Lambda", k)
+        out[rk, rk] = corner
     return out

@@ -30,6 +30,7 @@ from .qtorus import (
     TorusError,
     divide_terms,
     exact_left_divide,
+    frame_variables,
     make_key,
     multiply_terms,
 )
@@ -85,17 +86,15 @@ class QuantumSeed:
 
 
 def initial_seed(c: CartanData, slc: QuiverSlice) -> QuantumSeed:
-    """Seed whose variable at (i,r) is the single monomial z[i,r]."""
+    """Seed whose variable at (i,r) is the single monomial z[i,r], all in
+    one frame on the slice vertices whose skew form is the seed's Lambda."""
     lam = build_lambda(c, slc)
     report = check_compatible(slc.b_matrix, lam, slc.exch_rows)
     if not report.ok:
         raise MutationError(f"initial pair not compatible: {report}")
-    vars_ = {
-        v: TorusElement.monomial(c, {v: 1}) for v in slc.vertices
-    }
     return QuantumSeed(
         slice=slc,
-        vars=vars_,
+        vars=frame_variables(c, slc.vertices, lam.tolist()),
         b_current=slc.b_matrix,
         lambda_current=lam,
         history=(),

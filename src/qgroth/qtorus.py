@@ -24,20 +24,26 @@ therefore has every exponent, vertex by vertex, in the finite degree box
 strictly decreasing lex order, so it meets each point of the box at most
 once; a candidate outside the box certifies at once that no quotient exists.
 
-One dense exponent frame serves the star product, the division and the term
-order.  It indexes the vertices of the operands in reading order and stores
-exponents negated, so plain tuple order is the reverse of the lex order.
-With Cartan data it also holds the skew form on those vertices, read from
-cartan.skew_form, and each left factor's twist is one row of it.  The
-classical (t=1) engine runs the same product and division at zero twist.
+Each element is stored dense in a frame: vertices in reading order, with
+the skew form on them.  Exponents are tuples over the frame, negated, so
+plain tuple order is the reverse of the lex order.  A seed's variables share
+one frame whose skew form is the seed's Lambda, so their arithmetic converts
+nothing; terms, the ExpKey view, is built only when read.  Operands in two
+frames meet in either one when it holds the other's vertices, else in their
+union, which reads only the skew-form rows that twist rows need.  By skew
+symmetry a product or a division reads only the twist rows of its right
+factor or divisor, and each element caches its own.  The classical (t=1)
+engine runs the same product and division at zero twist.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import add, le, mul, sub
+from types import MappingProxyType
 
 from .cartan import CartanData, f_form, skew_form
 
@@ -86,6 +92,9 @@ def tc_add(a: TCoeff, b: TCoeff) -> TCoeff:
 
 
 def tc_mul(a: TCoeff, b: TCoeff) -> TCoeff:
+    if len(b) == 1:  # a shift and a factor; Z is a domain, so nothing cancels
+        ((s, n),) = b.items()
+        return {k + s: v * n for k, v in a.items()} if n else {}
     out: TCoeff = {}
     for ka, va in a.items():
         for kb, vb in b.items():
@@ -162,25 +171,31 @@ def make_key(exp: dict[Vertex, int]) -> ExpKey:
     )
 
 
-class _DenseFrame:
-    """Dense exponent vectors over the vertices of a set of keys.
+class _Frame:
+    """Vertices in reading order, and the skew form on them row by row.
 
-    The vertices are sorted in reading order.  dense(key) negates the
-    exponents, so plain tuple order on dense vectors is the reverse of the
-    lex order along the reading order (a vertex missing from a key counts as
-    exponent 0), and min picks the leading term.  sparse(terms) maps dense
-    keys back to ExpKeys.  With Cartan data the frame holds the skew form
-    lam on its vertices, and twist(e) is the Lambda row of the dense
-    exponent e: Lambda(e, f) = twist(e) . f, since the negations of e and f
-    cancel.  Lambda is skew, so entry b of twist(e) is -(lam[b] . e).
-    Without Cartan data twist(e) is None, the untwisted (t=1) ring."""
+    dense(key) negates the exponents, so plain tuple order on dense vectors
+    is the reverse of the lex order along the reading order (a vertex
+    missing from a key counts as exponent 0), and min picks the leading
+    term.  sparse_key and sparse map dense keys back to ExpKeys.  With
+    Cartan data, the twist row of a dense exponent e is its Lambda row:
+    Lambda(e, f) = twist(e) . f, since the negations of e and f cancel.
+    Lambda is skew, so twist(e) is the sum of e[a] lam[a] over the support
+    of e, and a row of lam not given whole at construction is read from
+    cartan.skew_form when a twist first needs it.  Without Cartan data the
+    twist rows are None, the untwisted (t=1) ring."""
 
-    __slots__ = ("verts", "col", "lam")
+    __slots__ = ("verts", "col", "cartan", "lam")
 
-    def __init__(self, keys, cartan: CartanData | None = None):
-        self.verts = sorted({u for k in keys for u, _ in k}, key=vertex_sort_key)
+    def __init__(self, verts, cartan: CartanData | None = None, lam=None):
+        self.verts = tuple(verts)
         self.col = {u: j for j, u in enumerate(self.verts)}
-        self.lam = None if cartan is None else skew_form(cartan, self.verts)
+        self.cartan = cartan
+        self.lam = [None] * len(self.verts) if lam is None else lam
+
+    @classmethod
+    def of_keys(cls, keys, cartan: CartanData | None = None) -> "_Frame":
+        return cls(sorted({u for k in keys for u, _ in k}, key=vertex_sort_key), cartan)
 
     def dense(self, key: ExpKey) -> tuple[int, ...]:
         out = [0] * len(self.verts)
@@ -188,25 +203,36 @@ class _DenseFrame:
             out[self.col[u]] = -e
         return tuple(out)
 
-    def sparse(self, terms: dict) -> dict[ExpKey, TCoeff]:
+    def sparse_key(self, k: tuple[int, ...]) -> ExpKey:
         verts = self.verts
-        return {
-            tuple((verts[j], -e) for j, e in enumerate(k) if e): c
-            for k, c in terms.items()
-            if c
-        }
+        return tuple((verts[j], -e) for j, e in enumerate(k) if e)
 
-    def twist(self, e: tuple[int, ...]) -> tuple[int, ...] | None:
-        if self.lam is None:
-            return None
-        return tuple(-sum(map(mul, e, row)) for row in self.lam)
+    def sparse(self, terms: dict) -> dict[ExpKey, TCoeff]:
+        return {self.sparse_key(k): c for k, c in terms.items()}
+
+    def twists(self, keys) -> dict:
+        """The twist row of each dense key, with the rows of lam that they
+        need and that are still missing read in one call to skew_form."""
+        if self.cartan is None:
+            return dict.fromkeys(keys)
+        lam = self.lam
+        need = [a for a, row in enumerate(lam) if row is None and any(k[a] for k in keys)]
+        if need:
+            rows = skew_form(self.cartan, [self.verts[a] for a in need], self.verts)
+            for a, row in zip(need, rows):
+                lam[a] = row
+        return {e: self._twist(e) for e in keys}
+
+    def _twist(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        scaled = [[x * y for y in self.lam[a]] for a, x in enumerate(e) if x]
+        return tuple(map(sum, zip(*scaled))) if scaled else (0,) * len(e)
 
 
 def lambda_of(c: CartanData, e: ExpKey | dict, f: ExpKey | dict) -> int:
     """Skew form, extended bilinearly from Lambda((i,r),(j,s)) = F_ij(s-r).
 
-    The products use _DenseFrame.twist; this pairwise form is the
-    reference it is tested against."""
+    The products use _Frame.twists; this pairwise form is the reference it
+    is tested against."""
     ee = dict(e) if not isinstance(e, dict) else e
     ff = dict(f) if not isinstance(f, dict) else f
     total = 0
@@ -220,13 +246,62 @@ def lambda_of(c: CartanData, e: ExpKey | dict, f: ExpKey | dict) -> int:
 # ------------------------------------------------------------- torus values
 
 class TorusElement:
-    """Finite sum of commutative monomials with Laurent coefficients in v."""
+    """Finite sum of commutative monomials with Laurent coefficients in v,
+    stored dense in a frame (module docstring).  Immutable."""
 
-    __slots__ = ("cartan", "terms")
+    __slots__ = ("cartan", "frame", "dense", "_terms", "_rows")
 
     def __init__(self, cartan: CartanData, terms: dict[ExpKey, TCoeff]):
+        terms = {k: c for k, c in terms.items() if c}
         self.cartan = cartan
-        self.terms = {k: c for k, c in terms.items() if c}
+        self.frame = _Frame.of_keys(terms, cartan)
+        self.dense = {self.frame.dense(k): c for k, c in terms.items()}
+        self._terms = MappingProxyType(terms)
+        self._rows = None
+
+    @classmethod
+    def _of(cls, frame: _Frame, dense: dict) -> "TorusElement":
+        """The element with these dense terms in frame."""
+        el = cls.__new__(cls)
+        el.cartan, el.frame, el.dense = frame.cartan, frame, dense
+        el._terms = el._rows = None
+        return el
+
+    @property
+    def terms(self) -> Mapping[ExpKey, TCoeff]:
+        """The terms keyed by ExpKey: a read-only view, built on first read."""
+        if self._terms is None:
+            self._terms = MappingProxyType(self.frame.sparse(self.dense))
+        return self._terms
+
+    def _twist_rows(self) -> dict:
+        if self._rows is None:
+            self._rows = self.frame.twists(self.dense)
+        return self._rows
+
+    def _join(self, other: "TorusElement") -> tuple["TorusElement", "TorusElement"]:
+        """self and other in one frame: the frame of either one when it
+        holds the other's vertices, else a new frame on their union."""
+        self._check_peer(other)
+        fa, fb = self.frame, other.frame
+        if fa is fb or fa.verts == fb.verts:
+            return self, other
+        if fa.col.keys() <= fb.col.keys():
+            return self._moved(fb), other
+        if fb.col.keys() <= fa.col.keys():
+            return self, other._moved(fa)
+        frame = _Frame(sorted({*fa.verts, *fb.verts}, key=vertex_sort_key), self.cartan)
+        return self._moved(frame), other._moved(frame)
+
+    def _moved(self, frame: _Frame) -> "TorusElement":
+        """This element in a frame that holds its frame's vertices."""
+        # column -1 reads the 0 appended to each key
+        src = [self.frame.col.get(u, -1) for u in frame.verts]
+        el = TorusElement._of(
+            frame, {tuple(map((k + (0,)).__getitem__, src)): c for k, c in self.dense.items()}
+        )
+        el._terms = self._terms
+        return el
 
     # -- constructors
     @classmethod
@@ -250,57 +325,57 @@ class TorusElement:
 
     # -- ring structure
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.dense)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TorusElement)
-            and self.cartan is other.cartan
-            and self.terms == other.terms
-        )
+        if not isinstance(other, TorusElement) or self.cartan is not other.cartan:
+            return False
+        x, y = self._join(other)
+        return x.dense == y.dense
 
     def __hash__(self):
         return hash(frozenset((k, frozenset(c.items())) for k, c in self.terms.items()))
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
-        self._check_peer(other)
-        out = {k: dict(c) for k, c in self.terms.items()}
-        for k, c in other.terms.items():
+        x, y = self._join(other)
+        out = dict(x.dense)
+        for k, c in y.dense.items():
             out[k] = tc_add(out.get(k, {}), c)
-        return TorusElement(self.cartan, out)
+        return TorusElement._of(x.frame, {k: c for k, c in out.items() if c})
 
     def __neg__(self) -> "TorusElement":
-        return TorusElement(self.cartan, {k: tc_neg(c) for k, c in self.terms.items()})
+        return TorusElement._of(self.frame, {k: tc_neg(c) for k, c in self.dense.items()})
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-other)
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         """Star product: comm(e) * comm(f) = v^Lambda(e,f) comm(e+f)."""
-        self._check_peer(other)
-        return TorusElement(self.cartan, multiply_terms(self.terms, other.terms, self.cartan))
+        x, y = self._join(other)
+        return TorusElement._of(x.frame, _star(x.dense, y.dense, y._twist_rows()))
 
     def scaled(self, coeff: TCoeff | int) -> "TorusElement":
         if isinstance(coeff, int):
             coeff = {0: coeff} if coeff else {}
-        return TorusElement(
-            self.cartan, {k: tc_mul(c, coeff) for k, c in self.terms.items()}
+        return TorusElement._of(
+            self.frame,
+            {k: tc_mul(c, coeff) for k, c in self.dense.items()} if coeff else {},
         )
 
     def bar(self) -> "TorusElement":
         """Bar involution: fixes commutative monomials, inverts v."""
-        return TorusElement(self.cartan, {k: tc_bar(c) for k, c in self.terms.items()})
+        return TorusElement._of(self.frame, {k: tc_bar(c) for k, c in self.dense.items()})
 
     # -- term access
     def lead_key(self) -> ExpKey:
-        if not self.terms:
+        if not self.dense:
             raise TorusError("zero element has no leading term")
-        return min(self.terms, key=_DenseFrame(self.terms).dense)
+        return self.frame.sparse_key(min(self.dense))
 
     def trail_key(self) -> ExpKey:
-        if not self.terms:
+        if not self.dense:
             raise TorusError("zero element has no trailing term")
-        return max(self.terms, key=_DenseFrame(self.terms).dense)
+        return self.frame.sparse_key(max(self.dense))
 
     def _check_peer(self, other: "TorusElement") -> None:
         if not isinstance(other, TorusElement) or other.cartan is not self.cartan:
@@ -309,10 +384,10 @@ class TorusElement:
     # -- rendering
     def sorted_keys(self) -> list[ExpKey]:
         """Keys in descending lex order along the reading order."""
-        return sorted(self.terms, key=_DenseFrame(self.terms).dense)
+        return [self.frame.sparse_key(k) for k in sorted(self.dense)]
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.dense:
             return "0"
         parts = []
         for k in self.sorted_keys():
@@ -350,6 +425,18 @@ class TorusElement:
 
 def monomial(c: CartanData, exp: dict[Vertex, int], coeff: TCoeff | int = 1) -> TorusElement:
     return TorusElement.monomial(c, exp, coeff)
+
+
+def frame_variables(
+    c: CartanData, verts: Sequence[Vertex], lam: list[list[int]]
+) -> dict[Vertex, TorusElement]:
+    """The monomials z[v] for v in verts, all in one frame whose skew form
+    is lam, the matrix Lambda(verts[a], verts[b]).  verts must be in
+    reading order."""
+    if list(verts) != sorted(verts, key=vertex_sort_key):
+        raise TorusError("frame vertices must be in reading order")
+    frame = _Frame(verts, c, lam)
+    return {v: TorusElement.monomial(c, {v: 1})._moved(frame) for v in verts}
 
 
 # ----------------------------------------------------- Y-variable embedding
@@ -446,76 +533,59 @@ def _add_product(target: TCoeff, c1: TCoeff, c2: TCoeff, shift: int) -> None:
                 target.pop(p + q, None)
 
 
-def multiply_terms(
-    a: dict[ExpKey, TCoeff], b: dict[ExpKey, TCoeff], cartan: CartanData | None
-) -> dict[ExpKey, TCoeff]:
-    """Multiply term dicts: the star product a * b twisted by the skew form
-    of cartan, comm(e) * comm(f) = v^Lambda(e,f) comm(e+f), or the
-    untwisted (t=1) product when cartan is None.
-
-    Each term of a gets one twist row, so each pair of terms costs one dot
-    product and one tuple sum in the dense frame of a and b."""
-    frame = _DenseFrame(chain(a, b), cartan)
-    right = [(frame.dense(k), c) for k, c in b.items()]
+def _star(a: dict, b: dict, rows: dict) -> dict:
+    """The star product a * b of dense terms in one frame, where rows maps
+    each term f of b to its twist row (None: untwisted).  Lambda is skew, so
+    each pair of terms costs one dot product, Lambda(e, f) = -twist(f) . e,
+    and one tuple sum."""
+    right = [(f, cb, rows[f]) for f, cb in b.items()]
     out: dict[tuple[int, ...], TCoeff] = {}
-    for ka, ca in a.items():
-        e = frame.dense(ka)
-        row = frame.twist(e)
-        for f, cb in right:
+    for e, ca in a.items():
+        for f, cb, row in right:
             k = tuple(map(add, e, f))
             target = out.get(k)
             if target is None:
                 target = out[k] = {}
-            _add_product(target, ca, cb, sum(map(mul, row, f)) if row else 0)
-    return frame.sparse(out)
+            _add_product(target, ca, cb, -sum(map(mul, row, e)) if row else 0)
+    return {k: c for k, c in out.items() if c}
 
 
-def divide_terms(
-    a: dict[ExpKey, TCoeff], d: dict[ExpKey, TCoeff], cartan: CartanData | None
-) -> tuple[dict[ExpKey, TCoeff], dict[ExpKey, TCoeff], str | None]:
-    """Left-divide term dicts: solve d * x = a, twisted by the skew form of
-    cartan, or untwisted (the commutative t=1 ring) when cartan is None.
+def _divide(a: dict, d: dict, rows: dict) -> tuple[dict, dict, str | None]:
+    """Left-divide dense terms in one frame: solve d * x = a, where rows
+    maps each term of d to its twist row (None: untwisted), d nonzero.
 
     Returns (quotient, {}, None) when the division is exact, and otherwise
     (partial quotient, remainder, reason) with a NonExactDivision reason.
-    d must be nonzero.
-
-    Exponents are dense in the frame of a and d, so a min-heap of the
-    remainder's keys pops its leading term.  Each step subtracts d times one
-    new quotient term, and the v-power of each product comes from a twist
-    row cached per divisor term."""
+    A min-heap of the remainder's keys pops its leading term (see
+    exact_left_divide), and each step subtracts d times one quotient term."""
     if not a:
         return {}, {}, None
-    frame = _DenseFrame(chain(a, d), cartan)
-    dense, sparse = frame.dense, frame.sparse
-    rem = {dense(k): c for k, c in a.items()}
-    den = {dense(k): c for k, c in d.items()}
+    rem = dict(a)
     # the degree box; negating exponents maps it onto the same formula
-    lo = tuple(map(sub, map(min, zip(*rem)), map(min, zip(*den))))
-    hi = tuple(map(sub, map(max, zip(*rem)), map(max, zip(*den))))
-    rows = {kd: frame.twist(kd) for kd in den}
-    lead = min(den)
-    lead_coeff, lead_row = den[lead], rows[lead]
-    rest = [(kd, cd, rows[kd]) for kd, cd in den.items() if kd != lead]
+    lo = tuple(map(sub, map(min, zip(*rem)), map(min, zip(*d))))
+    hi = tuple(map(sub, map(max, zip(*rem)), map(max, zip(*d))))
+    lead = min(d)
+    lead_coeff, lead_row = d[lead], rows[lead]
+    rest = [(kd, cd, rows[kd]) for kd, cd in d.items() if kd != lead]
 
     quot: dict[tuple[int, ...], TCoeff] = {}
     heap = list(rem)
     heapify(heap)
     while heap:
         m = heappop(heap)
-        cm = rem.pop(m)
-        if not cm:
+        cm = rem.pop(m, None)
+        if cm is None:
             continue
         ex = tuple(map(sub, m, lead))
         if not (all(map(le, lo, ex)) and all(map(le, ex, hi))):
             rem[m] = cm
-            return sparse(quot), sparse(rem), NonExactDivision.OUTSIDE_BOX
+            return quot, rem, NonExactDivision.OUTSIDE_BOX
         shift = sum(map(mul, lead_row, ex)) if lead_row else 0
         try:
             cx = tc_exact_div(cm, tc_shift(lead_coeff, shift))
         except TorusError:
             rem[m] = cm
-            return sparse(quot), sparse(rem), NonExactDivision.NON_EXACT_COEFFICIENT
+            return quot, rem, NonExactDivision.NON_EXACT_COEFFICIENT
         quot[ex] = cx
         # rem -= d * term; the leading product cancels cm exactly
         neg_cx = tc_neg(cx)
@@ -527,7 +597,37 @@ def divide_terms(
             # a fresh dict, so the coefficients of a are never written to
             target = rem[k] = {} if old is None else dict(old)
             _add_product(target, cd, neg_cx, sum(map(mul, row, ex)) if row else 0)
-    return sparse(quot), {}, None
+            if not target:
+                del rem[k]  # its heap entry is skipped when popped
+    return quot, {}, None
+
+
+def _keyed(a: dict, b: dict, cartan: CartanData | None):
+    """The frame of the vertices of two ExpKey term dicts, both dicts dense
+    in it, and the twist rows of the second."""
+    frame = _Frame.of_keys(chain(a, b), cartan)
+    da, db = ({frame.dense(k): c for k, c in t.items()} for t in (a, b))
+    return frame, da, db, frame.twists(db)
+
+
+def multiply_terms(
+    a: dict[ExpKey, TCoeff], b: dict[ExpKey, TCoeff], cartan: CartanData | None
+) -> dict[ExpKey, TCoeff]:
+    """Multiply ExpKey term dicts: the star product a * b twisted by the
+    skew form of cartan, or the untwisted (t=1) product when cartan is None."""
+    frame, *args = _keyed(a, b, cartan)
+    return frame.sparse(_star(*args))
+
+
+def divide_terms(
+    a: dict[ExpKey, TCoeff], d: dict[ExpKey, TCoeff], cartan: CartanData | None
+) -> tuple[dict[ExpKey, TCoeff], dict[ExpKey, TCoeff], str | None]:
+    """Left-divide ExpKey term dicts: solve d * x = a, twisted by the skew
+    form of cartan, or untwisted (the commutative t=1 ring) when cartan is
+    None.  Returns what _divide returns, keyed by ExpKeys."""
+    frame, *args = _keyed(a, d, cartan)
+    quot, rem, reason = _divide(*args)
+    return frame.sparse(quot), frame.sparse(rem), reason
 
 
 def exact_left_divide(a: TorusElement, d: TorusElement) -> TorusElement:
@@ -545,10 +645,10 @@ def exact_left_divide(a: TorusElement, d: TorusElement) -> TorusElement:
     repeat, and the box is finite, so the loop ends."""
     if not d:
         raise TorusError("division by zero")
-    a._check_peer(d)
-    quot, rem, reason = divide_terms(a.terms, d.terms, a.cartan)
+    x, y = a._join(d)
+    quot, rem, reason = _divide(x.dense, y.dense, y._twist_rows())
     if reason:
         raise NonExactDivision(
-            reason, TorusElement(a.cartan, rem), len(a.terms), len(d.terms)
+            reason, TorusElement._of(x.frame, rem), len(a.dense), len(d.dense)
         )
-    return TorusElement(a.cartan, quot)
+    return TorusElement._of(x.frame, quot)

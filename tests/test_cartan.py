@@ -235,6 +235,17 @@ class TestSkewForm:
             with pytest.raises(CartanError):
                 skew_form(c, [(1, 0), (bad, 3)])
 
+    @pytest.mark.parametrize("label,rank", ALL_TYPES)
+    def test_out_of_range_nodes_rejected_at_negative_gaps(self, label, rank):
+        c = build_cartan(label, rank)
+        for bad in (0, rank + 1):
+            for m in (-1, -4):
+                for fn in (n_form, f_form):
+                    with pytest.raises(CartanError):
+                        fn(c, bad, 1, m)
+                    with pytest.raises(CartanError):
+                        fn(c, 1, bad, m)
+
 
 class TestLattice:
     def test_node_classes_a3(self):

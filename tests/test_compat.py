@@ -186,3 +186,21 @@ class TestOverflowGuard:
                 assert fits, f"seed {seed} step {step}: wrapped without an error"
                 assert np.array_equal(b, xb) and np.array_equal(lam, xlam)
         assert raised
+
+
+def test_overflow_guard_passes_steps_int64_computes_exactly():
+    # seed 0 of the D4 N=2 walk above: max|Lambda| |c|_1^2 passes 2^63 at
+    # step 64, though the new row, column and corner all still fit
+    c = build_cartan("D", 4)
+    slc = build_slice(c, N=2)
+    rng = random.Random(0)
+    b, lam = slc.b_matrix, build_lambda(c, slc)
+    xb, xlam = b.astype(object), lam.astype(object)
+    for _ in range(65):
+        k = rng.randrange(b.shape[1])
+        xb, xlam = exact_mutation(xb, xlam, slc.exch_rows, k)
+        b, lam = (
+            mutate_matrix(b, slc.exch_rows, k),
+            mutate_lambda(lam, b, slc.exch_rows, k),
+        )
+        assert np.array_equal(b, xb) and np.array_equal(lam, xlam)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgroth.cartan import build_cartan
-from qgroth.qcluster import cp_mul
+from qgroth.qcluster import cp_mul, initial_seed
+from qgroth.quiver import build_slice
 from qgroth.qtorus import (
     NonExactDivision,
     TorusElement,
@@ -426,3 +427,67 @@ class TestDenseCoreAgainstReferences:
         assert want[0] == make_key({(2, 3): 1}) and want[-1] == make_key({(1, 2): -1})
         assert x.sorted_keys() == want
         assert (x.lead_key(), x.trail_key()) == (want[0], want[-1])
+
+
+# ------------------------------------------- elements kept dense in a seed frame
+
+SEED_FRAMES = {
+    label: initial_seed(c, build_slice(c, window=(-6, 6)))
+    for label, (c, _verts) in REF_CARTANS.items()
+}
+
+
+def in_seed_frame(x, label):
+    """x re-homed into the frame of a seed's variables: multiplied by the
+    unit that left-dividing one of them by itself gives in that frame."""
+    z = next(iter(SEED_FRAMES[label].vars.values()))
+    out = exact_left_divide(z, z) * x
+    assert out.frame is z.frame
+    return out
+
+
+class TestSeedFrame:
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
+    def test_ring_operations_agree_across_frames(self, data, label):
+        x = data.draw(mixed_elements(label))
+        y = data.draw(mixed_elements(label))
+        xs, ys = in_seed_frame(x, label), in_seed_frame(y, label)
+        assert xs == x and hash(xs) == hash(x) and xs.terms == x.terms
+        for left, right in ((x, y), (y, x)):
+            homed = (in_seed_frame(left, label), in_seed_frame(right, label))
+            for a, b in ((left, right), homed):
+                assert (a * b).terms == ref_star(left, right)
+        assert (xs * y).terms == (x * ys).terms == ref_star(x, y)
+        assert (xs + ys).terms == (xs + y).terms == (x + y).terms
+        assert xs.bar() == x.bar() and xs.bar().frame is xs.frame
+        assert xs.sorted_keys() == x.sorted_keys()
+        if x:
+            assert exact_left_divide(xs * ys, xs) == exact_left_divide(x * y, x) == y
+            assert exact_left_divide(xs * ys, xs).frame is xs.frame
+
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
+    def test_division_outcome_agrees_across_frames(self, data, label):
+        a = data.draw(mixed_elements(label))
+        d = data.draw(mixed_elements(label))
+        if not d:
+            return
+        # random pairs are nearly always non-exact; compare the whole outcome
+        outcomes = []
+        for num, den in ((a, d), (in_seed_frame(a, label), in_seed_frame(d, label))):
+            try:
+                outcomes.append(exact_left_divide(num, den))
+            except NonExactDivision as err:
+                outcomes.append((err.reason, err.remainder, err.num_terms, err.den_terms))
+        assert outcomes[0] == outcomes[1]
+
+    def test_operand_outside_the_seed_frame(self):
+        # z[1,10] lies outside the slice, so the product meets in a union
+        # frame whose skew-form rows are read on demand
+        d4 = REF_CARTANS["D4"][0]
+        x = in_seed_frame(monomial(d4, {(2, -1): 2, (3, 4): -1}, {1: 3}), "D4")
+        w = monomial(d4, {(1, 10): 1, (2, -1): -1})
+        for a, b in ((x, w), (w, x)):
+            assert (a * b).terms == ref_star(a, b)
+            assert exact_left_divide(a * b, a) == b
