@@ -64,24 +64,35 @@ def _matrix_text(m: np.ndarray) -> str:
     )
 
 
-def _emit(args, obj: dict, text: str) -> None:
+def _emit(args, obj, text) -> None:
+    """Print obj as JSON under --json, else text.  Either may be a function
+    that builds it, so that only the printed form is built."""
     if args.json:
-        obj = {"schema": SCHEMA, **obj}
+        obj = {"schema": SCHEMA, **(obj() if callable(obj) else obj)}
         print(json.dumps(obj, sort_keys=True))
     else:
-        print(text)
+        print(text() if callable(text) else text)
 
 
-def _t1_render(value: dict) -> tuple[str, list[dict]]:
-    """Text and JSON terms of a t=1 value, in sorted key order; "0" if zero."""
+def _emit_value(args, head: dict, value) -> None:
+    """Emit head and a TorusElement, or under --t1 its t=1 image (a dict,
+    terms in sorted key order, "0" if zero), building only the printed form."""
+    if not args.t1:
+        _emit(args, lambda: {**head, "t1": False, **value.to_json_obj()}, value.to_text)
+        return
     items = sorted(value.items())
-    text = " + ".join(
-        (f"{n}*" if n != 1 else "")
-        + "".join(f"z[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in k)
-        for k, n in items
-    )
-    terms = [{"c": n, "exp": [[i, r, e] for (i, r), e in k]} for k, n in items]
-    return text or "0", terms
+
+    def terms():
+        return [{"c": n, "exp": [[i, r, e] for (i, r), e in k]} for k, n in items]
+
+    def text():
+        return " + ".join(
+            (f"{n}*" if n != 1 else "")
+            + "".join(f"z[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in k)
+            for k, n in items
+        ) or "0"
+
+    _emit(args, lambda: {**head, "t1": True, "terms": terms()}, text)
 
 
 def _cartan_of(args):
@@ -176,14 +187,10 @@ def cmd_mutate(args) -> int:
     if vertex is None:
         raise UsageError("empty path needs an explicit --vertex")
     if args.t1:
-        text, terms = _t1_render(classical_mutate_along(c, slc, path)[vertex])
-        obj = {"vertex": list(vertex), "t1": True, "terms": terms}
+        value = classical_mutate_along(c, slc, path)[vertex]
     else:
-        seed = mutate_along(initial_seed(c, slc), path)
-        el = seed.vars[vertex]
-        text = el.to_text()
-        obj = {"vertex": list(vertex), "t1": False, **el.to_json_obj()}
-    _emit(args, obj, text)
+        value = mutate_along(initial_seed(c, slc), path).vars[vertex]
+    _emit_value(args, {"vertex": list(vertex)}, value)
     return 0
 
 
@@ -205,23 +212,8 @@ def cmd_fund_char(args) -> int:
     c = _cartan_of(args)
     window = _parse_window(args.window) if args.window else None
     char = fundamental_qt_character(c, args.i, args.r, window=window)
-    if args.t1:
-        text, terms = _t1_render(evaluate_t1(char.value))
-        obj = {
-            "origin": list(char.origin),
-            "read_at": list(char.vertex_read),
-            "t1": True,
-            "terms": terms,
-        }
-    else:
-        text = char.value.to_text()
-        obj = {
-            "origin": list(char.origin),
-            "read_at": list(char.vertex_read),
-            "t1": False,
-            **char.value.to_json_obj(),
-        }
-    _emit(args, obj, text)
+    head = {"origin": list(char.origin), "read_at": list(char.vertex_read)}
+    _emit_value(args, head, evaluate_t1(char.value) if args.t1 else char.value)
     return 0
 
 

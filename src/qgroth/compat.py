@@ -8,7 +8,8 @@ exchangeable columns.  For this construction the diagonal is the constant
 positivity convention.
 
 Mutation transports Lambda to E_k^T Lambda E_k.  As E_k - I is rank one,
-mutate_lambda rewrites only row and column rk, by two O(n^2) matvecs.
+mutate_lambda rewrites only row and column rk, reading only the rows and
+columns of Lambda on the support of E_k's column rk.
 """
 
 from __future__ import annotations
@@ -68,24 +69,26 @@ def mutate_lambda(
 
     With c = max(0, -B[:, k]), c[rk] = -1 the column rk = exch_rows[k] of
     E_k, this is Lambda with column rk set to Lambda c, row rk to c^T Lambda
-    and entry (rk, rk) to c^T Lambda c, for any square Lambda.  Raises
-    QuiverError rather than wrap past int64: max|Lambda| |c|_1 bounds the
-    new row and column and the partial sums of both matvecs; a corner that
-    |c|_1 times that does not bound is summed in Python ints and must fit."""
+    and entry (rk, rk) to c^T Lambda c, for any square Lambda: one copy plus
+    O(n |u|), u the support of c.  Raises QuiverError rather than wrap past
+    int64: max|Lambda| on rows and columns u times |c|_1 bounds the new row
+    and column and the partial sums of both products; the corner, |u|
+    products, is summed in Python ints and must fit."""
     _check_column(b, exch_rows, k)
     rk = exch_rows[k]
     c = np.maximum(0, -b[:, k])
     c[rk] = -1
-    l1 = sum(map(abs, c.tolist()))
-    bound = int(np.abs(lam).max()) * l1
-    check_int64(bound, "Lambda", k)
+    (u,) = c.nonzero()
+    cu = c[u]
+    cl = cu.tolist()
+    l1 = sum(map(abs, cl))
+    rows = np.array((lam.take(u, 0), lam.T.take(u, 0)))  # Lambda[u, :], Lambda[:, u]^T
+    check_int64(int(np.abs(rows).max()) * l1, "Lambda", k)
     out = lam.astype(np.int64)
-    out[:, rk] = lam @ c
-    out[rk, :] = row = c @ lam
-    if bound * l1 < 2**63:
-        out[rk, rk] = row @ c
-    else:
-        corner = sum(map(mul, row.tolist(), c.tolist()))
-        check_int64(abs(corner), "Lambda", k)
-        out[rk, rk] = corner
+    row_col = cu @ rows
+    out[:, rk] = row_col[1]
+    out[rk] = row = row_col[0]
+    corner = sum(map(mul, row[u].tolist(), cl))
+    check_int64(abs(corner), "Lambda", k)
+    out[rk, rk] = corner
     return out

@@ -107,6 +107,11 @@ def tc_mul(a: TCoeff, b: TCoeff) -> TCoeff:
     return out
 
 
+def _nonzero(a: TCoeff) -> TCoeff:
+    """a without its zero v-power entries."""
+    return {k: v for k, v in a.items() if v}
+
+
 def tc_neg(a: TCoeff) -> TCoeff:
     return {k: -v for k, v in a.items()}
 
@@ -252,7 +257,7 @@ class TorusElement:
     __slots__ = ("cartan", "frame", "dense", "_terms", "_rows")
 
     def __init__(self, cartan: CartanData, terms: dict[ExpKey, TCoeff]):
-        terms = {k: c for k, c in terms.items() if c}
+        terms = {k: c for k, c in ((k, _nonzero(c)) for k, c in terms.items()) if c}
         self.cartan = cartan
         self.frame = _Frame.of_keys(terms, cartan)
         self.dense = {self.frame.dense(k): c for k, c in terms.items()}
@@ -316,8 +321,8 @@ class TorusElement:
         coeff: TCoeff | int = 1,
     ) -> "TorusElement":
         if isinstance(coeff, int):
-            coeff = {0: coeff} if coeff else {}
-        return cls(cartan, {make_key(exp): dict(coeff)})
+            coeff = {0: coeff}
+        return cls(cartan, {make_key(exp): coeff})
 
     @classmethod
     def one(cls, cartan: CartanData) -> "TorusElement":
@@ -355,8 +360,7 @@ class TorusElement:
         return TorusElement._of(x.frame, _star(x.dense, y.dense, y._twist_rows()))
 
     def scaled(self, coeff: TCoeff | int) -> "TorusElement":
-        if isinstance(coeff, int):
-            coeff = {0: coeff} if coeff else {}
+        coeff = _nonzero({0: coeff} if isinstance(coeff, int) else coeff)
         return TorusElement._of(
             self.frame,
             {k: tc_mul(c, coeff) for k, c in self.dense.items()} if coeff else {},

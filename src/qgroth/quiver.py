@@ -99,8 +99,9 @@ def build_slice(
 
     Exactly one of N and window must be given.  The window [r_min, r_max] is
     inclusive; levels within distance 1 of either end are frozen, so the
-    exchangeable levels are [r_min+2, r_max-2].
-    """
+    exchangeable levels are [r_min+2, r_max-2].  Column (j, s) asks b_entry
+    only about the rows that can carry an arrow, (j, s+-2) and (i, s+-1)
+    for i adjacent to j."""
     if (N is None) == (window is None):
         raise QuiverError("specify exactly one of N or window")
     if N is not None:
@@ -117,9 +118,11 @@ def build_slice(
     exchangeable = [(i, r) for (i, r) in vertices if r_min + 2 <= r <= r_max - 2]
     idx = {v: k for k, v in enumerate(vertices)}
     b = np.zeros((len(vertices), len(exchangeable)), dtype=np.int64)
-    for col, w in enumerate(exchangeable):
-        for row, v in enumerate(vertices):
-            b[row, col] = b_entry(c, v, w)
+    for col, (j, s) in enumerate(exchangeable):
+        near = [(i, s + d) for i in c.neighbors(j) for d in (1, -1)]
+        for v in [(j, s + 2), (j, s - 2), *near]:
+            if v in idx:
+                b[idx[v], col] = b_entry(c, v, (j, s))
     return QuiverSlice(
         cartan=c,
         r_min=r_min,
@@ -149,18 +152,20 @@ def mutate_matrix(b: np.ndarray, exch_rows: tuple[int, ...], k: int) -> np.ndarr
     """Exchange-matrix mutation in direction k (a column index).
 
     b'_{ij} = -b_{ij} when i or j is the mutation direction, and otherwise
-    b_{ij} + (|b_{ik}| b_{kj} + b_{ik} |b_{kj}|) / 2, rewritten only where
-    column k and its pivot row are nonzero.  Raises QuiverError, never wraps."""
+    b_{ij} + (|b_{ik}| b_{kj} + b_{ik} |b_{kj}|) / 2, which changes only the
+    block where column k and its pivot row are nonzero: one copy of b plus
+    work on that block.  Raises QuiverError, never wraps: max|block| +
+    2 max|column k| max|row| bounds every new entry and partial sum."""
     _check_column(b, exch_rows, k)
     rk = exch_rows[k]
-    col, row = b[:, k], b[rk, :]
-    mb, mc, mr = (int(np.abs(x).max()) for x in (b, col, row))
+    (ci,), (rj,) = b[:, k].nonzero(), b[rk].nonzero()
+    col, row, block = b[ci, k], b[rk, rj], b[ci[:, None], rj]
+    mb, mc, mr = (max(map(abs, x.ravel().tolist()), default=0) for x in (block, col, row))
     check_int64(mb + 2 * mc * mr, "B", k)
-    i, j = np.ix_(np.flatnonzero(col), np.flatnonzero(row))
     out = b.copy()
-    out[i, j] += (np.abs(col[i]) * row[j] + col[i] * np.abs(row[j])) // 2
-    out[:, k] = -col
-    out[rk, :] = -row
+    out[ci[:, None], rj] = block + (abs(col[:, None]) * row + col[:, None] * abs(row)) // 2
+    out[ci, k] = -col
+    out[rk, rj] = -row
     return out
 
 

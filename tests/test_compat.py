@@ -204,3 +204,35 @@ def test_overflow_guard_passes_steps_int64_computes_exactly():
             mutate_lambda(lam, b, slc.exch_rows, k),
         )
         assert np.array_equal(b, xb) and np.array_equal(lam, xlam)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_large_b_entry_off_the_pivot_mutates_exactly(label, rank):
+    # an int64-max entry outside the pivot's block, row and column: the
+    # bound from the entries the step reads passes, and the result is exact
+    c = build_cartan(label, rank)
+    slc = build_slice(c, N=2)
+    lam = build_lambda(c, slc).astype(object)
+    for k in range(slc.b_matrix.shape[1]):
+        b, rk = slc.b_matrix.copy(), slc.exch_rows[k]
+        rows = [r for r in range(b.shape[0]) if not b[r, k] and r != rk]
+        cols = [j for j in range(b.shape[1]) if not b[rk, j] and j != k]
+        b[rows[-1], cols[0]] = 2**63 - 1
+        want, _ = exact_mutation(b.astype(object), lam, slc.exch_rows, k)
+        assert np.array_equal(mutate_matrix(b, slc.exch_rows, k), want)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_large_lambda_entry_off_the_pivot_mutates_exactly(label, rank):
+    # 2^62 in Lambda off the rows and columns of c's support: max|Lambda|
+    # |c|_1 would pass 2^63, the entries the step reads stay small
+    c = build_cartan(label, rank)
+    slc = build_slice(c, N=2)
+    b = slc.b_matrix
+    for k in range(b.shape[1]):
+        rk = slc.exch_rows[k]
+        far = [r for r in range(b.shape[0]) if b[r, k] >= 0 and r != rk]
+        lam = build_lambda(c, slc)
+        lam[far[0], far[-1]], lam[far[-1], far[0]] = 2**62, -(2**62)
+        _, want = exact_mutation(b.astype(object), lam.astype(object), slc.exch_rows, k)
+        assert np.array_equal(mutate_lambda(lam, b, slc.exch_rows, k), want)

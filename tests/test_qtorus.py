@@ -326,6 +326,27 @@ class TestRendering:
         assert TorusElement.zero(a1).to_text() == "0"
 
 
+class TestZeroCoefficients:
+    def test_dropped_on_construction(self, a2):
+        x = monomial(a2, {(1, 0): 1}, {1: 2})
+        z = monomial(a2, {(2, 1): 1}, {3: 0})
+        assert not z and z.to_text() == "0" and z == TorusElement.zero(a2)
+        assert x + z == x and z + x == x
+        mixed = monomial(a2, {(1, 2): 1}, {0: 0, 2: 5})
+        assert mixed.terms == {make_key({(1, 2): 1}): {2: 5}}
+        assert not TorusElement(a2, {make_key({(1, 0): 1}): {0: 0, 1: 0}})
+
+    def test_zero_divisor_raises_torus_error(self, a2):
+        x = monomial(a2, {(1, 0): 1})
+        with pytest.raises(TorusError):
+            exact_left_divide(x, monomial(a2, {(2, 1): 1}, {3: 0}))
+
+    def test_scaled_by_zero(self, a2):
+        x = monomial(a2, {(1, 0): 1}, {1: 2})
+        assert not x.scaled({5: 0}) and not x.scaled(0)
+        assert x.scaled({5: 0, 1: 3}) == monomial(a2, {(1, 0): 1}, {2: 6})
+
+
 # ------------------------------------------------ references for the dense core
 
 def ref_key_sum(ke, kf):

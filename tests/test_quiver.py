@@ -64,6 +64,21 @@ class TestBuildSlice:
             assert sum(1 for x in col if x > 0) == sum(1 for x in col if x < 0)
             assert idx[v] in slc.exch_rows
 
+    @pytest.mark.parametrize(
+        "label,rank",
+        [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6),
+         ("E", 6), ("E", 7), ("E", 8)],
+    )
+    def test_matches_all_pairs_b_entry(self, label, rank):
+        c = build_cartan(label, rank)
+        rng = random.Random(rank)
+        lows = [rng.randint(-9, 3) for _ in range(3)]
+        slices = [build_slice(c, N=1), build_slice(c, N=2)]
+        slices += [build_slice(c, window=(lo, lo + rng.randint(3, 10))) for lo in lows]
+        for slc in slices:
+            want = [[b_entry(c, v, w) for w in slc.exchangeable] for v in slc.vertices]
+            assert slc.b_matrix.tolist() == want
+
     def test_bad_windows(self):
         c = build_cartan("A", 1)
         with pytest.raises(QuiverError):
