@@ -186,6 +186,8 @@ def cmd_mutate(args) -> int:
     vertex = _parse_vertex(args.vertex) if args.vertex else (path[-1] if path else None)
     if vertex is None:
         raise UsageError("empty path needs an explicit --vertex")
+    if vertex not in slc.index:
+        raise UsageError(f"vertex {vertex} is not in this slice")
     if args.t1:
         value = classical_mutate_along(c, slc, path)[vertex]
     else:

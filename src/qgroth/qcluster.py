@@ -9,8 +9,9 @@ skew form, and divides on the left by the old variable.  Exactness of that
 division is the Laurent phenomenon; failure is reported as a bug, never
 papered over.
 
-A classical (t=1) engine over commutative Laurent polynomials is included
-as an independent cross-check oracle.
+A classical (t=1) engine is included as an independent cross-check oracle.
+It runs its own commutative exchange relation on the same TorusElement with
+no Cartan data, the untwisted ring.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ import numpy as np
 
 from .cartan import CartanData
 from .compat import build_lambda, check_compatible, mutate_lambda
-from .quiver import QuiverError, QuiverSlice, Vertex, mutate_matrix
+from .quiver import QuiverSlice, Vertex, mutate_matrix
 from .qtorus import (
     ExpKey,
     TorusElement,
     TorusError,
-    divide_terms,
+    evaluate_t1,
     exact_left_divide,
     frame_variables,
-    make_key,
-    multiply_terms,
 )
 
 
@@ -172,75 +171,34 @@ def mutate_along(seed: QuantumSeed, path) -> QuantumSeed:
 
 # ------------------------------------------------------- classical (t=1) oracle
 
-CPoly = dict[ExpKey, int]  # commutative Laurent polynomial over the z-variables
-
-
-def cp_monomial(exp: dict[Vertex, int], coeff: int = 1) -> CPoly:
-    return {make_key(exp): coeff} if coeff else {}
-
-
-def cp_add(a: CPoly, b: CPoly) -> CPoly:
-    out = dict(a)
-    for k, v in b.items():
-        n = out.get(k, 0) + v
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _lift(a: CPoly) -> dict:
-    return {k: {0: v} for k, v in a.items()}
-
-
-def cp_mul(a: CPoly, b: CPoly) -> CPoly:
-    """Classical product: the shared product core with zero twist."""
-    return {k: c[0] for k, c in multiply_terms(_lift(a), _lift(b), None).items()}
-
-
-def cp_pow(a: CPoly, n: int) -> CPoly:
-    out = cp_monomial({})
-    for _ in range(n):
-        out = cp_mul(out, a)
-    return out
-
-
-def cp_exact_div(a: CPoly, d: CPoly) -> CPoly:
-    """Exact classical division: the shared division core with zero twist."""
-    if not d:
-        raise MutationError("classical division by zero")
-    quot, rem, reason = divide_terms(_lift(a), _lift(d), None)
-    if reason:
-        rem_cp = {k: c[0] for k, c in rem.items()}
-        raise MutationError(f"classical division not exact ({reason}), remainder {rem_cp}")
-    return {k: c[0] for k, c in quot.items()}
+def cp_exact_div(a: TorusElement, d: TorusElement) -> TorusElement:
+    """Exact division of untwisted (t=1) elements, failing with MutationError."""
+    try:
+        return exact_left_divide(a, d)
+    except TorusError as exc:
+        raise MutationError(f"classical {exc}") from exc
 
 
 def classical_mutate_along(
     c: CartanData, slc: QuiverSlice, path
-) -> dict[Vertex, CPoly]:
-    """Run the commutative exchange relation along a path; the t=1 oracle."""
-    vars_: dict[Vertex, CPoly] = {v: cp_monomial({v: 1}) for v in slc.vertices}
+) -> dict[Vertex, dict[ExpKey, int]]:
+    """Run the commutative exchange relation along a path; the t=1 oracle.
+
+    The variables are TorusElements with no Cartan data, all in one
+    untwisted frame on the slice vertices, and the exchange monomials are
+    plain products of them, with no v-powers.  Returns the t=1 images."""
+    vars_ = frame_variables(None, slc.vertices, None)
+    one = TorusElement.one(None)
     b = slc.b_matrix
     verts = slc.vertices
     path = tuple(path)
     for step, k in enumerate(path):
+        col = slc.column_of(k)
+        powers = [(vars_[verts[row]], int(e)) for row, e in enumerate(b[:, col]) if e]
+        num = reduce(mul, (x for x, e in powers for _ in range(e)), one)
+        den = reduce(mul, (x for x, e in powers for _ in range(-e)), one)
         try:
-            col = slc.exchangeable.index(k)
-        except ValueError:
-            raise QuiverError(f"vertex {k} is not exchangeable") from None
-        num: CPoly = cp_monomial({})
-        den: CPoly = cp_monomial({})
-        for row, entry in enumerate(b[:, col]):
-            e = int(entry)
-            if e > 0:
-                num = cp_mul(num, cp_pow(vars_[verts[row]], e))
-            elif e < 0:
-                den = cp_mul(den, cp_pow(vars_[verts[row]], -e))
-        vars_ = dict(vars_)
-        try:
-            vars_[k] = cp_exact_div(cp_add(num, den), vars_[k])
+            vars_[k] = cp_exact_div(num + den, vars_[k])
         except MutationError as exc:
             raise MutationError(
                 f"classical mutation at {k} after path {list(path[:step])}: {exc}",
@@ -248,4 +206,4 @@ def classical_mutate_along(
                 path=tuple(path[:step]),
             ) from exc
         b = mutate_matrix(b, slc.exch_rows, col)
-    return vars_
+    return {v: evaluate_t1(x) for v, x in vars_.items()}

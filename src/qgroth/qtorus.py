@@ -33,7 +33,8 @@ frames meet in either one when it holds the other's vertices, else in their
 union, which reads only the skew-form rows that twist rows need.  By skew
 symmetry a product or a division reads only the twist rows of its right
 factor or divisor, and each element caches its own.  The classical (t=1)
-engine runs the same product and division at zero twist.
+engine uses the same TorusElement with no Cartan data: an untwisted frame,
+where the same product and division run at zero twist.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from operator import add, le, mul, sub
 from types import MappingProxyType
 
@@ -252,11 +252,14 @@ def lambda_of(c: CartanData, e: ExpKey | dict, f: ExpKey | dict) -> int:
 
 class TorusElement:
     """Finite sum of commutative monomials with Laurent coefficients in v,
-    stored dense in a frame (module docstring).  Immutable."""
+    stored dense in a frame (module docstring).  Immutable.  cartan None
+    is the untwisted ring: the star product is the commutative (t=1)
+    product.  Elements over different Cartan data, or one twisted and one
+    untwisted, never meet in one operation."""
 
     __slots__ = ("cartan", "frame", "dense", "_terms", "_rows")
 
-    def __init__(self, cartan: CartanData, terms: dict[ExpKey, TCoeff]):
+    def __init__(self, cartan: CartanData | None, terms: dict[ExpKey, TCoeff]):
         terms = {k: c for k, c in ((k, _nonzero(c)) for k, c in terms.items()) if c}
         self.cartan = cartan
         self.frame = _Frame.of_keys(terms, cartan)
@@ -310,13 +313,13 @@ class TorusElement:
 
     # -- constructors
     @classmethod
-    def zero(cls, cartan: CartanData) -> "TorusElement":
+    def zero(cls, cartan: CartanData | None) -> "TorusElement":
         return cls(cartan, {})
 
     @classmethod
     def monomial(
         cls,
-        cartan: CartanData,
+        cartan: CartanData | None,
         exp: dict[Vertex, int],
         coeff: TCoeff | int = 1,
     ) -> "TorusElement":
@@ -325,7 +328,7 @@ class TorusElement:
         return cls(cartan, {make_key(exp): coeff})
 
     @classmethod
-    def one(cls, cartan: CartanData) -> "TorusElement":
+    def one(cls, cartan: CartanData | None) -> "TorusElement":
         return cls.monomial(cartan, {})
 
     # -- ring structure
@@ -432,11 +435,12 @@ def monomial(c: CartanData, exp: dict[Vertex, int], coeff: TCoeff | int = 1) -> 
 
 
 def frame_variables(
-    c: CartanData, verts: Sequence[Vertex], lam: list[list[int]]
+    c: CartanData | None, verts: Sequence[Vertex], lam: list[list[int]] | None
 ) -> dict[Vertex, TorusElement]:
     """The monomials z[v] for v in verts, all in one frame whose skew form
     is lam, the matrix Lambda(verts[a], verts[b]).  verts must be in
-    reading order."""
+    reading order.  With c and lam None the frame is untwisted: the
+    commutative (t=1) ring."""
     if list(verts) != sorted(verts, key=vertex_sort_key):
         raise TorusError("frame vertices must be in reading order")
     frame = _Frame(verts, c, lam)
@@ -604,34 +608,6 @@ def _divide(a: dict, d: dict, rows: dict) -> tuple[dict, dict, str | None]:
             if not target:
                 del rem[k]  # its heap entry is skipped when popped
     return quot, {}, None
-
-
-def _keyed(a: dict, b: dict, cartan: CartanData | None):
-    """The frame of the vertices of two ExpKey term dicts, both dicts dense
-    in it, and the twist rows of the second."""
-    frame = _Frame.of_keys(chain(a, b), cartan)
-    da, db = ({frame.dense(k): c for k, c in t.items()} for t in (a, b))
-    return frame, da, db, frame.twists(db)
-
-
-def multiply_terms(
-    a: dict[ExpKey, TCoeff], b: dict[ExpKey, TCoeff], cartan: CartanData | None
-) -> dict[ExpKey, TCoeff]:
-    """Multiply ExpKey term dicts: the star product a * b twisted by the
-    skew form of cartan, or the untwisted (t=1) product when cartan is None."""
-    frame, *args = _keyed(a, b, cartan)
-    return frame.sparse(_star(*args))
-
-
-def divide_terms(
-    a: dict[ExpKey, TCoeff], d: dict[ExpKey, TCoeff], cartan: CartanData | None
-) -> tuple[dict[ExpKey, TCoeff], dict[ExpKey, TCoeff], str | None]:
-    """Left-divide ExpKey term dicts: solve d * x = a, twisted by the skew
-    form of cartan, or untwisted (the commutative t=1 ring) when cartan is
-    None.  Returns what _divide returns, keyed by ExpKeys."""
-    frame, *args = _keyed(a, d, cartan)
-    quot, rem, reason = _divide(*args)
-    return frame.sparse(quot), frame.sparse(rem), reason
 
 
 def exact_left_divide(a: TorusElement, d: TorusElement) -> TorusElement:

@@ -105,6 +105,15 @@ class TestMutate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("engine", [[], ["--t1"]], ids=["quantum", "t1"])
+    def test_unknown_vertex_usage_error(self, capsys, engine):
+        argv = ["mutate", "--type", "A", "--rank", "2", "--window", "-1:6",
+                "--path", "(1,2)", "--vertex", "(9,9)", *engine]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert not out
+        assert "(9, 9)" in err
+
 
 class TestOracle:
     def test_a2(self, capsys):
