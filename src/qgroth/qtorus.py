@@ -79,49 +79,27 @@ class NonExactDivision(TorusError):
 
 
 # ---------------------------------------------------------------- TCoeff ops
+#
+# _add_product is the one accumulator: every sum, product, negation and
+# shift of coefficients is target += v^shift * c1 * c2 on some target.
 
-def tc_add(a: TCoeff, b: TCoeff) -> TCoeff:
-    out = dict(a)
-    for k, v in b.items():
-        n = out.get(k, 0) + v
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
-    return out
-
-
-def tc_mul(a: TCoeff, b: TCoeff) -> TCoeff:
-    if len(b) == 1:  # a shift and a factor; Z is a domain, so nothing cancels
-        ((s, n),) = b.items()
-        return {k + s: v * n for k, v in a.items()} if n else {}
-    out: TCoeff = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            n = out.get(k, 0) + va * vb
+def _add_product(target: TCoeff, c1: TCoeff, c2: TCoeff, shift: int = 0) -> TCoeff:
+    """target += v^shift * c1 * c2, in place, without zero entries; returns
+    target, which must be neither c1 nor c2."""
+    for p, x in c1.items():
+        p += shift
+        for q, y in c2.items():
+            n = target.get(p + q, 0) + x * y
             if n:
-                out[k] = n
+                target[p + q] = n
             else:
-                out.pop(k, None)
-    return out
+                target.pop(p + q, None)
+    return target
 
 
 def _nonzero(a: TCoeff) -> TCoeff:
     """a without its zero v-power entries."""
     return {k: v for k, v in a.items() if v}
-
-
-def tc_neg(a: TCoeff) -> TCoeff:
-    return {k: -v for k, v in a.items()}
-
-
-def tc_shift(a: TCoeff, s: int) -> TCoeff:
-    return {k + s: v for k, v in a.items()}
-
-
-def tc_bar(a: TCoeff) -> TCoeff:
-    return {-k: v for k, v in a.items()}
 
 
 def tc_exact_div(num: TCoeff, den: TCoeff) -> TCoeff:
@@ -145,7 +123,7 @@ def tc_exact_div(num: TCoeff, den: TCoeff) -> TCoeff:
         if r != 0:
             raise TorusError(f"coefficient {num} not divisible by {den}")
         quot[shift] = lead
-        rem = tc_add(rem, {k + shift: -v * lead for k, v in den.items()})
+        _add_product(rem, den, {shift: -lead})
     return quot
 
 
@@ -348,11 +326,11 @@ class TorusElement:
         x, y = self._join(other)
         out = dict(x.dense)
         for k, c in y.dense.items():
-            out[k] = tc_add(out.get(k, {}), c)
+            out[k] = _add_product(dict(out.get(k, ())), c, {0: 1})
         return TorusElement._of(x.frame, {k: c for k, c in out.items() if c})
 
     def __neg__(self) -> "TorusElement":
-        return TorusElement._of(self.frame, {k: tc_neg(c) for k, c in self.dense.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-other)
@@ -366,12 +344,14 @@ class TorusElement:
         coeff = _nonzero({0: coeff} if isinstance(coeff, int) else coeff)
         return TorusElement._of(
             self.frame,
-            {k: tc_mul(c, coeff) for k, c in self.dense.items()} if coeff else {},
+            {k: _add_product({}, c, coeff) for k, c in self.dense.items()} if coeff else {},
         )
 
     def bar(self) -> "TorusElement":
         """Bar involution: fixes commutative monomials, inverts v."""
-        return TorusElement._of(self.frame, {k: tc_bar(c) for k, c in self.dense.items()})
+        return TorusElement._of(
+            self.frame, {k: {-p: n for p, n in c.items()} for k, c in self.dense.items()}
+        )
 
     # -- term access
     def lead_key(self) -> ExpKey:
@@ -529,18 +509,6 @@ def weight_mul(
 
 # ------------------------------------------------ product and exact division
 
-def _add_product(target: TCoeff, c1: TCoeff, c2: TCoeff, shift: int) -> None:
-    """target += v^shift * c1 * c2, in place."""
-    for p, x in c1.items():
-        p += shift
-        for q, y in c2.items():
-            n = target.get(p + q, 0) + x * y
-            if n:
-                target[p + q] = n
-            else:
-                target.pop(p + q, None)
-
-
 def _star(a: dict, b: dict, rows: dict) -> dict:
     """The star product a * b of dense terms in one frame, where rows maps
     each term f of b to its twist row (None: untwisted).  Lambda is skew, so
@@ -590,13 +558,13 @@ def _divide(a: dict, d: dict, rows: dict) -> tuple[dict, dict, str | None]:
             return quot, rem, NonExactDivision.OUTSIDE_BOX
         shift = sum(map(mul, lead_row, ex)) if lead_row else 0
         try:
-            cx = tc_exact_div(cm, tc_shift(lead_coeff, shift))
+            cx = tc_exact_div(cm, _add_product({}, lead_coeff, {shift: 1}))
         except TorusError:
             rem[m] = cm
             return quot, rem, NonExactDivision.NON_EXACT_COEFFICIENT
         quot[ex] = cx
         # rem -= d * term; the leading product cancels cm exactly
-        neg_cx = tc_neg(cx)
+        neg_cx = _add_product({}, cx, {0: -1})
         for kd, cd, row in rest:
             k = tuple(map(add, kd, ex))
             old = rem.get(k)

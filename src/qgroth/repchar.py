@@ -3,21 +3,20 @@
 Provides the distinguished mutation sequence that produces fundamental
 (q,t)-characters as quantum cluster variables, an independent classical
 q-character oracle (iterative ladder expansion, valid for the fundamental
-modules of minuscule nodes only, and refusing every other node), the
-quantized Baxter relation, the Drinfeld-double relation battery, and the
-type-A thinness check.
+modules of minuscule nodes only, refusing every other node and any module
+of more than FM_BUDGET monomials), the quantized Baxter relation, the
+Drinfeld-double relation battery, and the type-A thinness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import CartanData
-from .quiver import QuiverError, QuiverSlice, Vertex, build_slice
+from .cartan import CartanData, build_cartan
+from .quiver import Vertex, build_slice
 from .qcluster import QuantumSeed, initial_seed, mutate_along
 from .qtorus import (
     TorusElement,
-    TorusError,
     a_monomial,
     embed_Y,
     evaluate_t1,
@@ -110,7 +109,8 @@ def fundamental_qt_character(
 
 # ----------------------------------------------------- classical q-char oracle
 
-FM_DEFAULT_BUDGET = 10000
+# The most monomials the oracle expands; a cap on memory for large A_n.
+FM_BUDGET = 10000
 
 
 # Minuscule nodes in Bourbaki numbering, per type and rank.
@@ -121,17 +121,15 @@ MINUSCULE_NODES = {
 }
 
 
-def classical_fm_qchar(
-    c: CartanData, i: int, r: int, budget: int = FM_DEFAULT_BUDGET
-) -> dict[tuple, int]:
+def classical_fm_qchar(c: CartanData, i: int, r: int) -> dict[tuple, int]:
     """Classical q-character of the fundamental module with highest Y-key
     (i, r), by iterated ladder expansion from the dominant monomial.
 
     Each positive Y-factor of a monomial spawns the monomial obtained by
     dividing out the root monomial anchored at that factor.  This plain
     saturation gives every monomial multiplicity 1, which is right only for
-    minuscule nodes, so any other node i is refused with RepCharError; the
-    budget guards against misuse."""
+    minuscule nodes, so any other node i is refused with RepCharError, and
+    so is a module of more than FM_BUDGET monomials."""
     if i not in MINUSCULE_NODES[c.dynkin_type](c.rank):
         raise RepCharError(f"node {i} of {c.dynkin_type}{c.rank} is not minuscule")
     if not c.in_ihat(i, r):
@@ -140,10 +138,10 @@ def classical_fm_qchar(
     seen = {start}
     queue = [start]
     while queue:
-        if len(seen) > budget:
+        if len(seen) > FM_BUDGET:
             raise RepCharError(
-                f"q-character expansion exceeded budget {budget}; "
-                "oracle is only valid for minuscule fundamental modules"
+                f"the q-character at origin ({i},{r}) has more than "
+                f"{FM_BUDGET} monomials, the oracle's cap"
             )
         mono = queue.pop()
         exp = dict(mono)
@@ -213,8 +211,6 @@ def drinfeld_double_check(q_sign: int = -1) -> list[Verdict]:
     q_sign = -1; passing +1 falsifies the E/F commutator relation."""
     if q_sign not in (-1, 1):
         raise RepCharError("q_sign must be +1 or -1")
-    from .cartan import build_cartan
-
     c = build_cartan("A", 1)
     slc = build_slice(c, N=1)
     seed = mutate_along(initial_seed(c, slc), [(1, 0)])

@@ -28,15 +28,13 @@ from .qtorus import (
     make_key,
 )
 from .repchar import (
+    Verdict,
     baxter_check,
     drinfeld_double_check,
     fm_qchar_embedded,
     fundamental_qt_character,
     mutation_sequence,
-    thinness_flatten_check,
 )
-
-Verdict = tuple[str, bool, str]
 
 
 # --------------------------------------------------------------- golden data

@@ -409,14 +409,18 @@ REF_CARTANS = {
 
 
 @st.composite
-def mixed_elements(draw, label, max_terms=5):
-    """Elements with coefficients of both signs, so products can cancel."""
+def mixed_elements(draw, label, max_terms=5, coeff_terms=1):
+    """Elements with coefficients of both signs, so products can cancel;
+    each monomial's coefficient has up to coeff_terms powers of v."""
     c, verts = REF_CARTANS[label]
     out = TorusElement.zero(c)
     for _ in range(draw(st.integers(1, max_terms))):
         support = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True))
         exp = {v: draw(st.integers(-2, 2)) for v in support}
-        coeff = {draw(st.integers(-2, 2)): draw(st.integers(-3, 3))}
+        coeff = {
+            draw(st.integers(-2, 2)): draw(st.integers(-3, 3))
+            for _ in range(draw(st.integers(1, coeff_terms)))
+        }
         out = out + monomial(c, exp, coeff)
     return out
 
@@ -525,3 +529,79 @@ class TestSeedFrame:
         for a, b in ((x, w), (w, x)):
             assert (a * b).terms == ref_star(a, b)
             assert exact_left_divide(a * b, a) == b
+
+
+# ------------------------------------------------------ the coefficient layer
+
+def laurent(min_size=1):
+    """A Laurent polynomial in v: a dict v-exponent -> nonzero integer."""
+    nonzero = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(st.integers(-4, 4), nonzero, min_size=min_size, max_size=4)
+
+
+def ref_tc_add(a, b, sign=1):
+    out = dict(a)
+    for p, n in b.items():
+        out[p] = out.get(p, 0) + sign * n
+    return {p: n for p, n in out.items() if n}
+
+
+def ref_tc_mul(a, b):
+    out = {}
+    for p, x in a.items():
+        for q, y in b.items():
+            out[p + q] = out.get(p + q, 0) + x * y
+    return {p: n for p, n in out.items() if n}
+
+
+def ref_terms_add(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = ref_tc_add(out.get(k, {}), c, sign)
+    return {k: c for k, c in out.items() if c}
+
+
+def snapshot(*elements):
+    return [{k: dict(c) for k, c in x.dense.items()} for x in elements]
+
+
+class TestCoefficientLayer:
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)), s=laurent(0))
+    def test_ring_operations_against_dicts(self, data, label, s):
+        a = data.draw(mixed_elements(label, coeff_terms=3))
+        b = data.draw(mixed_elements(label, coeff_terms=3))
+        assert (a + b).terms == ref_terms_add(a.terms, b.terms)
+        assert (a - b).terms == ref_terms_add(a.terms, b.terms, -1)
+        assert (-a).terms == ref_terms_add({}, a.terms, -1)
+        scaled = {k: ref_tc_mul(c, s) for k, c in a.terms.items()}
+        assert a.scaled(s).terms == {k: c for k, c in scaled.items() if c}
+        assert a.bar().terms == {k: {-p: n for p, n in c.items()} for k, c in a.terms.items()}
+
+    @REF_SETTINGS
+    @given(q=laurent(), d=laurent())
+    def test_exact_division(self, q, d):
+        num = ref_tc_mul(q, d)
+        before = dict(num)
+        assert tc_exact_div(num, d) == q
+        assert num == before
+
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)), s=laurent())
+    def test_operands_unchanged(self, data, label, s):
+        a = data.draw(mixed_elements(label, coeff_terms=3))
+        b = data.draw(mixed_elements(label, coeff_terms=3))
+        ab = b * a
+        homed = in_seed_frame(a, label)
+        operands = (a, b, ab, homed)
+        before = snapshot(*operands)
+        for x, y in ((a, b), (b, a), (homed, b), (b, homed)):
+            # only the operands are checked, so the results are dropped
+            x + y, x - y, x * y, -x, x.scaled(s), x.bar()
+        if b:
+            assert exact_left_divide(ab, b) == a
+            try:
+                exact_left_divide(a, b)
+            except NonExactDivision:
+                pass
+        assert snapshot(*operands) == before

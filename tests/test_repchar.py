@@ -1,5 +1,6 @@
 import pytest
 
+from qgroth import repchar
 from qgroth.cartan import build_cartan
 from qgroth.qtorus import TorusElement, embed_Y, evaluate_t1
 from qgroth.repchar import (
@@ -128,9 +129,15 @@ class TestClassicalOracle:
         with pytest.raises(RepCharError):
             classical_fm_qchar(a2, 2, 0)
 
-    def test_budget(self, a2):
+    def test_budget(self, a2, monkeypatch):
+        monkeypatch.setattr(repchar, "FM_BUDGET", 1)
         with pytest.raises(RepCharError):
-            classical_fm_qchar(a2, 1, 0, budget=1)
+            classical_fm_qchar(a2, 1, 0)
+
+    def test_cap_names_origin_not_node(self):
+        # A_n nodes are all minuscule; A15 node 7 has C(16,7) = 11440 monomials
+        with pytest.raises(RepCharError, match=r"origin \(7,0\) has more than 10000"):
+            classical_fm_qchar(build_cartan("A", 15), 7, 0)
 
     @pytest.mark.parametrize(
         "label,rank,i,dim",
