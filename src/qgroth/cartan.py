@@ -198,22 +198,17 @@ def f_form(c: CartanData, i: int, j: int, m: int) -> int:
     return f if m >= 0 else -f
 
 
-def skew_form(
-    c: CartanData,
-    verts: Sequence[tuple[int, int]],
-    cols: Sequence[tuple[int, int]] | None = None,
-) -> list[list[int]]:
-    """The skew form between two lists of vertices (i, r), cols defaulting to
-    verts: entry [a][b] is Lambda(verts[a], cols[b]) = f_form(i_a, i_b, r_b - r_a)."""
-    cols = verts if cols is None else cols
-    for i in {i for i, _ in verts} | {i for i, _ in cols}:
+def skew_form(c: CartanData, verts: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The skew form on a list of vertices (i, r): entry [a][b] is
+    Lambda(verts[a], verts[b]) = f_form(i_a, i_b, r_b - r_a)."""
+    for i in {i for i, _ in verts}:
         c._check_node(i)
-    levels = [r for _, r in (*verts, *cols)]
+    levels = [r for _, r in verts]
     table = _degrees(c, max(levels, default=0) - min(levels, default=0))
     return [
         [
             table[s - r][1][i - 1][j - 1] if s >= r else -table[r - s][1][i - 1][j - 1]
-            for j, s in cols
+            for j, s in verts
         ]
         for i, r in verts
     ]

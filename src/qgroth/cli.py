@@ -100,18 +100,21 @@ def _cartan_of(args):
 
 
 def _slice_of(args, c):
-    if args.window is not None:
-        return build_slice(c, window=_parse_window(args.window))
-    return build_slice(c, N=args.N)
+    window = None if args.window is None else _parse_window(args.window)
+    return build_slice(c, N=args.N, window=window)
 
 
 # ----------------------------------------------------------------- commands
 
 def cmd_cartan(args) -> int:
     c = _cartan_of(args)
+    if (args.i is None) != (args.j is None):
+        raise UsageError("give both --i and --j, or neither")
+    if args.degree < 0:
+        raise UsageError(f"degree must be >= 0, got {args.degree}")
     pairs = (
         [(args.i, args.j)]
-        if args.i is not None and args.j is not None
+        if args.i is not None
         else [(i, j) for i in c.nodes for j in c.nodes if i <= j]
     )
     series = [

@@ -93,7 +93,7 @@ def initial_seed(c: CartanData, slc: QuiverSlice) -> QuantumSeed:
         raise MutationError(f"initial pair not compatible: {report}")
     return QuantumSeed(
         slice=slc,
-        vars=frame_variables(c, slc.vertices, lam.tolist()),
+        vars=frame_variables(c, slc.vertices),
         b_current=slc.b_matrix,
         lambda_current=lam,
         history=(),
@@ -187,7 +187,7 @@ def classical_mutate_along(
     The variables are TorusElements with no Cartan data, all in one
     untwisted frame on the slice vertices, and the exchange monomials are
     plain products of them, with no v-powers.  Returns the t=1 images."""
-    vars_ = frame_variables(None, slc.vertices, None)
+    vars_ = frame_variables(None, slc.vertices)
     one = TorusElement.one(None)
     b = slc.b_matrix
     verts = slc.vertices

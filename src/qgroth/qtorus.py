@@ -25,21 +25,20 @@ strictly decreasing lex order, so it meets each point of the box at most
 once; a candidate outside the box certifies at once that no quotient exists.
 
 Each element is stored dense in a frame: vertices in reading order, with
-the skew form on them.  Exponents are tuples over the frame, negated, so
-plain tuple order is the reverse of the lex order.  A seed's variables share
-one frame whose skew form is the seed's Lambda, so their arithmetic converts
-nothing; terms, the ExpKey view, is built only when read.  Operands in two
-frames meet in either one when it holds the other's vertices, else in their
-union, which reads only the skew-form rows that twist rows need.  By skew
-symmetry a product or a division reads only the twist rows of its right
-factor or divisor, and each element caches its own.  The classical (t=1)
-engine uses the same TorusElement with no Cartan data: an untwisted frame,
-where the same product and division run at zero twist.
+the skew form on them, read whole in one call to cartan.skew_form.
+Exponents are tuples over the frame, negated, so plain tuple order is the
+reverse of the lex order.  A seed's variables share one frame whose skew
+form is the seed's Lambda, so their arithmetic converts nothing; terms, the
+ExpKey view, is built only when read.  Operands in two frames meet in
+either one when it holds the other's vertices, else in a new frame on their
+union.  By skew symmetry a product or a division reads only the twist rows
+of its right factor or divisor, and each element caches its own.  The
+classical (t=1) engine uses the same TorusElement with no Cartan data: an
+untwisted frame, where the same product and division run at zero twist.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from operator import add, le, mul, sub
@@ -155,30 +154,26 @@ def make_key(exp: dict[Vertex, int]) -> ExpKey:
 
 
 class _Frame:
-    """Vertices in reading order, and the skew form on them row by row.
+    """Vertices in reading order, and the skew form on them.
 
     dense(key) negates the exponents, so plain tuple order on dense vectors
     is the reverse of the lex order along the reading order (a vertex
     missing from a key counts as exponent 0), and min picks the leading
     term.  sparse_key and sparse map dense keys back to ExpKeys.  With
-    Cartan data, the twist row of a dense exponent e is its Lambda row:
-    Lambda(e, f) = twist(e) . f, since the negations of e and f cancel.
-    Lambda is skew, so twist(e) is the sum of e[a] lam[a] over the support
-    of e, and a row of lam not given whole at construction is read from
-    cartan.skew_form when a twist first needs it.  Without Cartan data the
-    twist rows are None, the untwisted (t=1) ring."""
+    Cartan data, lam is cartan.skew_form of the vertices, read whole at
+    construction, and the twist row of a dense exponent e is its Lambda
+    row: Lambda(e, f) = twist(e) . f, since the negations of e and f
+    cancel.  Lambda is skew, so twist(e) is the sum of e[a] lam[a] over the
+    support of e.  Without Cartan data lam is None and so are the twist
+    rows: the untwisted (t=1) ring."""
 
     __slots__ = ("verts", "col", "cartan", "lam")
 
-    def __init__(self, verts, cartan: CartanData | None = None, lam=None):
-        self.verts = tuple(verts)
+    def __init__(self, verts, cartan: CartanData | None):
+        self.verts = tuple(sorted(verts, key=vertex_sort_key))
         self.col = {u: j for j, u in enumerate(self.verts)}
         self.cartan = cartan
-        self.lam = [None] * len(self.verts) if lam is None else lam
-
-    @classmethod
-    def of_keys(cls, keys, cartan: CartanData | None = None) -> "_Frame":
-        return cls(sorted({u for k in keys for u, _ in k}, key=vertex_sort_key), cartan)
+        self.lam = None if cartan is None else skew_form(cartan, self.verts)
 
     def dense(self, key: ExpKey) -> tuple[int, ...]:
         out = [0] * len(self.verts)
@@ -194,16 +189,9 @@ class _Frame:
         return {self.sparse_key(k): c for k, c in terms.items()}
 
     def twists(self, keys) -> dict:
-        """The twist row of each dense key, with the rows of lam that they
-        need and that are still missing read in one call to skew_form."""
-        if self.cartan is None:
+        """The twist row of each dense key."""
+        if self.lam is None:
             return dict.fromkeys(keys)
-        lam = self.lam
-        need = [a for a, row in enumerate(lam) if row is None and any(k[a] for k in keys)]
-        if need:
-            rows = skew_form(self.cartan, [self.verts[a] for a in need], self.verts)
-            for a, row in zip(need, rows):
-                lam[a] = row
         return {e: self._twist(e) for e in keys}
 
     def _twist(self, e: tuple[int, ...]) -> tuple[int, ...]:
@@ -240,7 +228,7 @@ class TorusElement:
     def __init__(self, cartan: CartanData | None, terms: dict[ExpKey, TCoeff]):
         terms = {k: c for k, c in ((k, _nonzero(c)) for k, c in terms.items()) if c}
         self.cartan = cartan
-        self.frame = _Frame.of_keys(terms, cartan)
+        self.frame = _Frame({u for k in terms for u, _ in k}, cartan)
         self.dense = {self.frame.dense(k): c for k, c in terms.items()}
         self._terms = MappingProxyType(terms)
         self._rows = None
@@ -276,7 +264,7 @@ class TorusElement:
             return self._moved(fb), other
         if fb.col.keys() <= fa.col.keys():
             return self, other._moved(fa)
-        frame = _Frame(sorted({*fa.verts, *fb.verts}, key=vertex_sort_key), self.cartan)
+        frame = _Frame({*fa.verts, *fb.verts}, self.cartan)
         return self._moved(frame), other._moved(frame)
 
     def _moved(self, frame: _Frame) -> "TorusElement":
@@ -403,27 +391,14 @@ class TorusElement:
                 )
         return {"terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     def __repr__(self) -> str:
         return f"TorusElement({self.to_text()})"
 
 
-def monomial(c: CartanData, exp: dict[Vertex, int], coeff: TCoeff | int = 1) -> TorusElement:
-    return TorusElement.monomial(c, exp, coeff)
-
-
-def frame_variables(
-    c: CartanData | None, verts: Sequence[Vertex], lam: list[list[int]] | None
-) -> dict[Vertex, TorusElement]:
-    """The monomials z[v] for v in verts, all in one frame whose skew form
-    is lam, the matrix Lambda(verts[a], verts[b]).  verts must be in
-    reading order.  With c and lam None the frame is untwisted: the
-    commutative (t=1) ring."""
-    if list(verts) != sorted(verts, key=vertex_sort_key):
-        raise TorusError("frame vertices must be in reading order")
-    frame = _Frame(verts, c, lam)
+def frame_variables(c: CartanData | None, verts: Sequence[Vertex]) -> dict[Vertex, TorusElement]:
+    """The monomials z[v] for v in verts, in any order, all in one frame on
+    verts.  With c None the frame is untwisted: the commutative (t=1) ring."""
+    frame = _Frame(verts, c)
     return {v: TorusElement.monomial(c, {v: 1})._moved(frame) for v in verts}
 
 
@@ -489,21 +464,6 @@ def weight_character(a: TorusElement) -> dict[tuple[int, ...], int]:
                 out[key] = tot
             else:
                 out.pop(key, None)
-    return out
-
-
-def weight_mul(
-    a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = tuple(x + y for x, y in zip(wa, wb))
-            n = out.get(w, 0) + ca * cb
-            if n:
-                out[w] = n
-            else:
-                out.pop(w, None)
     return out
 
 

@@ -181,6 +181,32 @@ class TestCartanQuiver:
         code, _, err = run(capsys, ["cartan", "--type", "D", "--rank", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--i", "1"], "both --i and --j"),
+            (["--j", "2"], "both --i and --j"),
+            (["--degree", "-3"], "degree must be >= 0"),
+        ],
+        ids=["i-without-j", "j-without-i", "negative-degree"],
+    )
+    def test_cartan_bad_arguments_usage_error(self, capsys, extra, message):
+        code, out, err = run(capsys, ["cartan", "--type", "A", "--rank", "2", *extra])
+        assert code == 2
+        assert not out
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("quiver", []), ("compat", []), ("mutate", ["--path", "(1,2)"])],
+    )
+    def test_n_and_window_together_usage_error(self, capsys, command, extra):
+        argv = [command, "--type", "A", "--rank", "2", "--N", "1", "--window", "0:5", *extra]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert not out
+        assert "exactly one of N or window" in err
+
     def test_quiver_a1(self, capsys):
         code, out, _ = run(capsys, ["quiver", "--type", "A", "--rank", "1", "--N", "1"])
         assert code == 0

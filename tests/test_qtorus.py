@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgroth.cartan import build_cartan
+from qgroth.cartan import build_cartan, skew_form
 from qgroth.qcluster import initial_seed
 from qgroth.quiver import build_slice
 from qgroth.qtorus import (
@@ -17,14 +17,26 @@ from qgroth.qtorus import (
     embed_Y,
     evaluate_t1,
     exact_left_divide,
+    frame_variables,
     lambda_of,
     make_key,
-    monomial,
     tc_exact_div,
     vertex_sort_key,
     weight_character,
-    weight_mul,
 )
+
+monomial = TorusElement.monomial
+
+
+def weight_mul(a, b):
+    """Product in the weight group ring: the reference for the
+    multiplicativity of weight_character."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = tuple(x + y for x, y in zip(wa, wb))
+            out[w] = out.get(w, 0) + ca * cb
+    return {w: n for w, n in out.items() if n}
 
 
 @pytest.fixture(scope="module")
@@ -327,8 +339,8 @@ class TestRendering:
 
     def test_json_deterministic(self, a2):
         x = monomial(a2, {(1, 0): 1, (2, 1): -2}, {1: 1}) + monomial(a2, {(1, 2): 1})
-        assert x.to_json() == x.to_json()
-        assert '"t_num"' in x.to_json()
+        assert x.to_json_obj() == x.to_json_obj()
+        assert all("t_num" in term for term in x.to_json_obj()["terms"])
 
     def test_zero(self, a1):
         assert TorusElement.zero(a1).to_text() == "0"
@@ -484,6 +496,13 @@ def in_seed_frame(x, label):
     return out
 
 
+def assert_frame_whole(frame):
+    """The frame holds its vertices in reading order and the skew form on
+    them whole, however it was built."""
+    assert list(frame.verts) == sorted(frame.verts, key=vertex_sort_key)
+    assert frame.lam == skew_form(frame.cartan, frame.verts)
+
+
 class TestSeedFrame:
     @REF_SETTINGS
     @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
@@ -521,14 +540,42 @@ class TestSeedFrame:
         assert outcomes[0] == outcomes[1]
 
     def test_operand_outside_the_seed_frame(self):
-        # z[1,10] lies outside the slice, so the product meets in a union
-        # frame whose skew-form rows are read on demand
+        # z[1,10] lies outside the slice, so the product meets in a frame on
+        # the union of both frames' vertices, with its skew form read whole
         d4 = REF_CARTANS["D4"][0]
         x = in_seed_frame(monomial(d4, {(2, -1): 2, (3, 4): -1}, {1: 3}), "D4")
         w = monomial(d4, {(1, 10): 1, (2, -1): -1})
         for a, b in ((x, w), (w, x)):
             assert (a * b).terms == ref_star(a, b)
             assert exact_left_divide(a * b, a) == b
+            assert_frame_whole((a * b).frame)
+            assert set((a * b).frame.verts) == set(x.frame.verts) | set(w.frame.verts)
+
+
+class TestFrames:
+    def test_key_born_element(self, d4):
+        x = monomial(d4, {(2, -1): 2, (3, 4): -1, (1, 0): 1}) + monomial(d4, {(4, 2): 1})
+        assert_frame_whole(x.frame)
+        assert set(x.frame.verts) == {(2, -1), (3, 4), (1, 0), (4, 2)}
+
+    def test_seed_variable(self):
+        seed = SEED_FRAMES["D4"]
+        z = seed.vars[seed.slice.vertices[0]]
+        assert_frame_whole(z.frame)
+        assert z.frame.verts == tuple(seed.slice.vertices)
+
+    def test_untwisted_frame_has_no_skew_form(self):
+        assert TorusElement.monomial(None, {(1, 0): 1, (1, 2): -1}).frame.lam is None
+
+    @pytest.mark.parametrize("label", sorted(REF_CARTANS))
+    def test_frame_variables_sort_their_vertices(self, label):
+        c = REF_CARTANS[label][0]
+        verts = SEED_FRAMES[label].slice.vertices
+        forward = frame_variables(c, verts)
+        backward = frame_variables(c, verts[::-1])
+        assert backward == forward
+        for z in (*forward.values(), *backward.values()):
+            assert_frame_whole(z.frame)
 
 
 # ------------------------------------------------------ the coefficient layer
