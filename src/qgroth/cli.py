@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success/PASS, 1 a verification FAILed, 2 usage or domain error.
+Exit codes: 0 success/PASS, 1 a verification FAILed, 2 usage or domain error
+(a mutation past qcluster.TERM_BUDGET terms counts as one).
 JSON output carries a top-level {"schema": 1} and is deterministic for a
 given invocation.
 """
@@ -16,8 +17,14 @@ import numpy as np
 from .cartan import CartanError, build_cartan, ctilde
 from .compat import build_lambda, check_compatible
 from .quiver import QuiverError, build_slice
-from .qcluster import MutationError, classical_mutate_along, initial_seed, mutate_along
-from .qtorus import TorusError, evaluate_t1
+from .qcluster import (
+    MutationError,
+    TermBudgetExceeded,
+    classical_mutate_along,
+    initial_seed,
+    mutate_along,
+)
+from .qtorus import TorusElement, TorusError, evaluate_t1
 from .repchar import (
     RepCharError,
     baxter_check,
@@ -64,12 +71,45 @@ def _matrix_text(m: np.ndarray) -> str:
     )
 
 
+def _term_chunks(value: TorusElement):
+    """The JSON array of a TorusElement's terms, in chunks of one term each:
+    one object per power of t^{1/2}, in descending term order and then
+    descending power, with its coefficient c, exponent triples exp and
+    power t_num."""
+    yield "["
+    sep = ""
+    for k, coeff in value.sorted_terms():
+        exp = ", ".join(f"[{i}, {r}, {e}]" for (i, r), e in k)
+        for p in sorted(coeff, reverse=True):
+            yield f'{sep}{{"c": {coeff[p]}, "exp": [{exp}], "t_num": {p}}}'
+            sep = ", "
+    yield "]"
+
+
+def _json_chunks(obj: dict):
+    """json.dumps(obj, sort_keys=True) in chunks, where a TorusElement value
+    is written as the array of its terms, one term per chunk."""
+    sep = "{"
+    for key in sorted(obj):
+        yield f"{sep}{json.dumps(key)}: "
+        sep = ", "
+        value = obj[key]
+        if isinstance(value, TorusElement):
+            yield from _term_chunks(value)
+        else:
+            yield json.dumps(value, sort_keys=True)
+    yield "}"
+
+
 def _emit(args, obj, text) -> None:
     """Print obj as JSON under --json, else text.  Either may be a function
-    that builds it, so that only the printed form is built."""
+    that builds it, so that only the printed form is built.  The JSON is
+    written chunk by chunk, so no copy of a whole TorusElement value is built."""
     if args.json:
-        obj = {"schema": SCHEMA, **(obj() if callable(obj) else obj)}
-        print(json.dumps(obj, sort_keys=True))
+        out = sys.stdout
+        for chunk in _json_chunks({"schema": SCHEMA, **(obj() if callable(obj) else obj)}):
+            out.write(chunk)
+        out.write("\n")
     else:
         print(text() if callable(text) else text)
 
@@ -78,7 +118,7 @@ def _emit_value(args, head: dict, value) -> None:
     """Emit head and a TorusElement, or under --t1 its t=1 image (a dict,
     terms in sorted key order, "0" if zero), building only the printed form."""
     if not args.t1:
-        _emit(args, lambda: {**head, "t1": False, **value.to_json_obj()}, value.to_text)
+        _emit(args, {**head, "t1": False, "terms": value}, value.to_text)
         return
     items = sorted(value.items())
 
@@ -246,8 +286,8 @@ def cmd_baxter(args) -> int:
     obj = {
         "r": v.r,
         "ok": v.ok,
-        "lhs": v.lhs.to_json_obj()["terms"],
-        "rhs": v.rhs.to_json_obj()["terms"],
+        "lhs": v.lhs,
+        "rhs": v.rhs,
     }
     _emit(args, obj, str(v))
     return 0 if v.ok else 1
@@ -385,7 +425,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(merged)
     try:
         return args.fn(args)
-    except (UsageError, CartanError, QuiverError, RepCharError) as exc:
+    except (UsageError, CartanError, QuiverError, RepCharError, TermBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TorusError, MutationError) as exc:

@@ -17,8 +17,6 @@ no Cartan data, the untwisted ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
 
 import numpy as np
 
@@ -48,6 +46,27 @@ class MutationError(ValueError):
         super().__init__(message)
         self.vertex = vertex
         self.path = path
+
+
+# The most terms an exchange product, partial or whole, or the sum of the
+# two exchange monomials may have: a cap on one mutation's memory.  The
+# largest sum known to finish, D5 (2,1)'s, has 1 201 258 terms.
+TERM_BUDGET = 2_000_000
+
+
+class TermBudgetExceeded(MutationError):
+    """A mutation's exchange product or sum has more than TERM_BUDGET terms;
+    terms is its size and budget the cap it broke."""
+
+    def __init__(self, what: str, terms: int, vertex: Vertex, path: tuple[Vertex, ...]):
+        super().__init__(
+            f"mutation at {vertex} after path {list(path)}: {what} has {terms} "
+            f"terms, more than the term budget of {TERM_BUDGET}",
+            vertex=vertex,
+            path=path,
+        )
+        self.terms = terms
+        self.budget = TERM_BUDGET
 
 
 @dataclass(frozen=True)
@@ -100,14 +119,33 @@ def initial_seed(c: CartanData, slc: QuiverSlice) -> QuantumSeed:
     )
 
 
+def _within_budget(
+    el: TorusElement, what: str, k: Vertex, path: tuple[Vertex, ...]
+) -> TorusElement:
+    if len(el.dense) > TERM_BUDGET:
+        raise TermBudgetExceeded(what, len(el.dense), k, path)
+    return el
+
+
+def _product(
+    first: TorusElement, factors, k: Vertex, path: tuple[Vertex, ...]
+) -> TorusElement:
+    """first times factors in order, each partial product within TERM_BUDGET;
+    k and path name the mutation in the error."""
+    for f in factors:
+        first = _within_budget(first * f, "an exchange product", k, path)
+    return first
+
+
 def _frame_monomial(
-    seed: QuantumSeed, exps: dict[int, int], shift: int
+    seed: QuantumSeed, k: Vertex, exps: dict[int, int], shift: int
 ) -> TorusElement:
     """Bar-invariant monomial of the current cluster with row exponents exps,
-    times v^shift.
+    times v^shift, for the mutation at k.
 
     Computes v^{shift - sum_{u<w} a_u a_w Lambda_cur(u,w)} times the ordered
-    star product of the current variables, rows ascending."""
+    star product of the current variables, rows ascending.  v is central, so
+    the power scales the first factor, not the whole product."""
     rows = sorted(exps)
     lam = seed.lambda_current
     for a_idx, u in enumerate(rows):
@@ -117,12 +155,12 @@ def _frame_monomial(
     factors = [seed.vars[verts[u]] for u in rows for _ in range(exps[u])]
     if not factors:
         return TorusElement.monomial(seed.cartan, {}, {shift: 1})
-    return reduce(mul, factors).scaled({shift: 1})
+    return _product(factors[0].scaled({shift: 1}), factors[1:], k, seed.history)
 
 
-def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
-    """One quantum exchange mutation in direction k."""
-    col = seed.slice.column_of(k)
+def _exchange_sum(seed: QuantumSeed, k: Vertex, col: int) -> TorusElement:
+    """The sum of the two exchange monomials of the mutation at k, whose
+    exchange column is col, each with its v-power unit factor."""
     rk = seed.slice.exch_rows[col]
     bcol = seed.b_current[:, col]
     a_plus = {i: int(b) for i, b in enumerate(bcol) if b > 0}
@@ -132,11 +170,22 @@ def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
     gamma_plus = sum(int(lam[rk, u]) * e for u, e in a_plus.items())
     gamma_minus = sum(int(lam[rk, u]) * e for u, e in a_minus.items())
 
-    s = _frame_monomial(seed, a_plus, gamma_plus) + _frame_monomial(
-        seed, a_minus, gamma_minus
+    return _within_budget(
+        _frame_monomial(seed, k, a_plus, gamma_plus)
+        + _frame_monomial(seed, k, a_minus, gamma_minus),
+        "the exchange sum",
+        k,
+        seed.history,
     )
+
+
+def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
+    """One quantum exchange mutation in direction k."""
+    col = seed.slice.column_of(k)
     try:
-        new_var = exact_left_divide(s, seed.vars[k])
+        # no local keeps the sum, often the largest value of the mutation,
+        # alive through the bar check below
+        new_var = exact_left_divide(_exchange_sum(seed, k, col), seed.vars[k])
     except TorusError as exc:
         raise MutationError(
             f"Laurent-phenomenon violation mutating at {k} "
@@ -158,7 +207,9 @@ def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
         slice=seed.slice,
         vars=new_vars,
         b_current=mutate_matrix(seed.b_current, seed.slice.exch_rows, col),
-        lambda_current=mutate_lambda(lam, seed.b_current, seed.slice.exch_rows, col),
+        lambda_current=mutate_lambda(
+            seed.lambda_current, seed.b_current, seed.slice.exch_rows, col
+        ),
         history=seed.history + (k,),
     )
 
@@ -195,15 +246,21 @@ def classical_mutate_along(
     for step, k in enumerate(path):
         col = slc.column_of(k)
         powers = [(vars_[verts[row]], int(e)) for row, e in enumerate(b[:, col]) if e]
-        num = reduce(mul, (x for x, e in powers for _ in range(e)), one)
-        den = reduce(mul, (x for x, e in powers for _ in range(-e)), one)
+        done = path[:step]
+        total = _within_budget(
+            _product(one, (x for x, e in powers for _ in range(e)), k, done)
+            + _product(one, (x for x, e in powers for _ in range(-e)), k, done),
+            "the exchange sum",
+            k,
+            done,
+        )
         try:
-            vars_[k] = cp_exact_div(num + den, vars_[k])
+            vars_[k] = cp_exact_div(total, vars_[k])
         except MutationError as exc:
             raise MutationError(
-                f"classical mutation at {k} after path {list(path[:step])}: {exc}",
+                f"classical mutation at {k} after path {list(done)}: {exc}",
                 vertex=k,
-                path=tuple(path[:step]),
+                path=done,
             ) from exc
         b = mutate_matrix(b, slc.exch_rows, col)
     return {v: evaluate_t1(x) for v, x in vars_.items()}

@@ -29,18 +29,22 @@ the skew form on them, read whole in one call to cartan.skew_form.
 Exponents are tuples over the frame, negated, so plain tuple order is the
 reverse of the lex order.  A seed's variables share one frame whose skew
 form is the seed's Lambda, so their arithmetic converts nothing; terms, the
-ExpKey view, is built only when read.  Operands in two frames meet in
-either one when it holds the other's vertices, else in a new frame on their
-union.  By skew symmetry a product or a division reads only the twist rows
-of its right factor or divisor, and each element caches its own.  The
-classical (t=1) engine uses the same TorusElement with no Cartan data: an
-untwisted frame, where the same product and division run at zero twist.
+ExpKey view, is built only when read.  Printing never reads it: to_text and
+sorted_terms render each term from its dense key and the frame's vertices,
+one term at a time.  Coefficient dicts are never written once their element
+is built, so a sum shares those of every exponent only one operand has, and
+a product lets equal coefficients share one dict.  Operands in two frames
+meet in either one when it holds the other's vertices, else in a new frame
+on their union.  By skew symmetry a product or a division reads only the
+twist rows of its right factor or divisor, and each element caches its own.
+The classical (t=1) engine uses the same TorusElement with no Cartan data:
+an untwisted frame, where the same product and division run at zero twist.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from heapq import heapify, heappop, heappush
+from collections.abc import Iterator, Mapping, Sequence
+from heapq import heapify, heappop, heappush, nsmallest
 from operator import add, le, mul, sub
 from types import MappingProxyType
 
@@ -64,12 +68,15 @@ class NonExactDivision(TorusError):
     OUTSIDE_BOX = "quotient exponent outside the degree box"
     NON_EXACT_COEFFICIENT = "non-exact coefficient"
 
+    # the message shows this many leading remainder terms; .remainder has all
+    SHOWN_TERMS = 3
+
     def __init__(
         self, reason: str, remainder: "TorusElement", num_terms: int, den_terms: int
     ):
         super().__init__(
             f"non-exact division ({reason}) of a {num_terms}-term numerator by a "
-            f"{den_terms}-term divisor, remainder {remainder.to_text()}"
+            f"{den_terms}-term divisor, remainder {remainder.to_text(self.SHOWN_TERMS)}"
         )
         self.reason = reason
         self.remainder = remainder
@@ -311,11 +318,19 @@ class TorusElement:
         return hash(frozenset((k, frozenset(c.items())) for k, c in self.terms.items()))
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
+        # no coefficient dict is written after its element is built, so the
+        # sum shares those of every exponent only one operand has
         x, y = self._join(other)
         out = dict(x.dense)
         for k, c in y.dense.items():
-            out[k] = _add_product(dict(out.get(k, ())), c, {0: 1})
-        return TorusElement._of(x.frame, {k: c for k, c in out.items() if c})
+            old = out.get(k)
+            if old is None:
+                out[k] = c
+            elif total := _add_product(dict(old), c, {0: 1}):
+                out[k] = total
+            else:
+                del out[k]
+        return TorusElement._of(x.frame, out)
 
     def __neg__(self) -> "TorusElement":
         return self.scaled(-1)
@@ -357,39 +372,33 @@ class TorusElement:
             raise TorusError("operands must live over the same Cartan data")
 
     # -- rendering
-    def sorted_keys(self) -> list[ExpKey]:
-        """Keys in descending lex order along the reading order."""
-        return [self.frame.sparse_key(k) for k in sorted(self.dense)]
+    def sorted_terms(self, limit: int | None = None) -> Iterator[tuple[ExpKey, TCoeff]]:
+        """(key, coefficient) of each term, or of the leading limit terms,
+        in descending lex order along the reading order.  Each key is built
+        from its dense key when reached, so rendering builds neither the
+        terms view nor a list of ExpKeys."""
+        dense, sparse_key = self.dense, self.frame.sparse_key
+        for k in sorted(dense) if limit is None else nsmallest(limit, dense):
+            yield sparse_key(k), dense[k]
 
-    def to_text(self) -> str:
+    def to_text(self, limit: int | None = None) -> str:
+        """The element as text; with limit, its leading limit terms and a
+        count of the rest."""
         if not self.dense:
             return "0"
         parts = []
-        for k in self.sorted_keys():
+        for k, coeff in self.sorted_terms(limit):
             factors = "".join(
                 f"z[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in k
             )
-            coeff = self.terms[k]
             if coeff == {0: 1} and factors:
                 parts.append(factors)
             elif factors:
                 parts.append(f"{tc_text(coeff)}*{factors}")
             else:
                 parts.append(tc_text(coeff))
-        return " + ".join(parts)
-
-    def to_json_obj(self) -> dict:
-        terms = []
-        for k in self.sorted_keys():
-            for vpow in sorted(self.terms[k], reverse=True):
-                terms.append(
-                    {
-                        "t_num": vpow,
-                        "c": self.terms[k][vpow],
-                        "exp": [[i, r, e] for (i, r), e in k],
-                    }
-                )
-        return {"terms": terms}
+        rest = len(self.dense) - len(parts)
+        return " + ".join(parts) + (f" … and {rest} more terms" if rest else "")
 
     def __repr__(self) -> str:
         return f"TorusElement({self.to_text()})"
@@ -405,7 +414,13 @@ def frame_variables(c: CartanData | None, verts: Sequence[Vertex]) -> dict[Verte
 # ----------------------------------------------------- Y-variable embedding
 
 def embed_Y(c: CartanData, y_monomial: dict[Vertex, int]) -> TorusElement:
-    """Map a commutative Y-monomial into the z-torus.
+    """Map a commutative Y-monomial into the z-torus: the monomial with key
+    embed_Y_key(c, y_monomial) and coefficient 1."""
+    return TorusElement(c, {embed_Y_key(c, y_monomial): {0: 1}})
+
+
+def embed_Y_key(c: CartanData, y_monomial: dict[Vertex, int]) -> ExpKey:
+    """The key of a commutative Y-monomial's image in the z-torus.
 
     The Y-variable keyed by (i, r) maps to the commutative monomial
     z[i,r] z[i,r+2]^{-1}; the map is multiplicative on Y-monomials."""
@@ -416,7 +431,7 @@ def embed_Y(c: CartanData, y_monomial: dict[Vertex, int]) -> TorusElement:
         if e:
             exp[(i, r)] = exp.get((i, r), 0) + e
             exp[(i, r + 2)] = exp.get((i, r + 2), 0) - e
-    return TorusElement.monomial(c, exp)
+    return make_key(exp)
 
 
 def a_monomial(c: CartanData, i: int, r: int) -> dict[Vertex, int]:
@@ -483,7 +498,20 @@ def _star(a: dict, b: dict, rows: dict) -> dict:
             if target is None:
                 target = out[k] = {}
             _add_product(target, ca, cb, -sum(map(mul, row, e)) if row else 0)
-    return {k: c for k, c in out.items() if c}
+    # Exchange products repeat a few coefficients over many terms, and no
+    # coefficient dict is written once its element is built, so those with
+    # equal items, in equal order, share one dict.  Cancelled terms are
+    # dropped in place.
+    shared: dict = {}
+    cancelled = []
+    for k, c in out.items():
+        if c:
+            out[k] = shared.setdefault(tuple(c.items()), c)
+        else:
+            cancelled.append(k)
+    for k in cancelled:
+        del out[k]
+    return out
 
 
 def _divide(a: dict, d: dict, rows: dict) -> tuple[dict, dict, str | None]:

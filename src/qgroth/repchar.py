@@ -18,8 +18,7 @@ from .qcluster import QuantumSeed, initial_seed, mutate_along
 from .qtorus import (
     TorusElement,
     a_monomial,
-    embed_Y,
-    evaluate_t1,
+    embed_Y_key,
     weight_character,
 )
 
@@ -159,11 +158,13 @@ def classical_fm_qchar(c: CartanData, i: int, r: int) -> dict[tuple, int]:
 
 
 def fm_qchar_embedded(c: CartanData, i: int, r: int) -> dict:
-    """The oracle's q-character pushed into the z-torus and read at t=1."""
-    total = TorusElement.zero(c)
-    for mono in classical_fm_qchar(c, i, r):
-        total = total + embed_Y(c, dict(mono))
-    return evaluate_t1(total)
+    """The oracle's q-character pushed into the z-torus and read at t=1,
+    summed monomial by monomial into one dict of t=1 terms."""
+    total: dict = {}
+    for mono, mult in classical_fm_qchar(c, i, r).items():
+        key = embed_Y_key(c, dict(mono))
+        total[key] = total.get(key, 0) + mult
+    return {k: n for k, n in total.items() if n}
 
 
 # ------------------------------------------------------------ Baxter relation

@@ -1,8 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgroth.cli import main
+from qgroth import qcluster
+from qgroth.cartan import build_cartan
+from qgroth.cli import _emit, _emit_value, main
+from qgroth.qcluster import initial_seed, mutate_along
+from qgroth.qtorus import TorusElement, exact_left_divide, tc_text
+from qgroth.quiver import build_slice
 
 
 def run(capsys, argv):
@@ -234,3 +244,123 @@ class TestVerifyAll:
         code, out, _ = run(capsys, ["verify-all", "--quick"])
         assert code == 0
         assert out.strip().splitlines()[-1] == "ALL PASS"
+
+
+class TestTermBudget:
+    @pytest.mark.parametrize("engine", [[], ["--t1"]], ids=["quantum", "t1"])
+    def test_budget_is_a_domain_error(self, capsys, monkeypatch, engine):
+        monkeypatch.setattr(qcluster, "TERM_BUDGET", 3)
+        argv = ["mutate", "--type", "D", "--rank", "4", "--window", "-1:8",
+                "--path", "(1,6);(1,4);(1,2)", "--json", *engine]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert not out
+        assert "term budget of 3" in err
+
+
+# ------------------------------------------- printed values against a reference
+#
+# ref_to_text and ref_to_json_obj are the value renderers from before printing
+# went term by term: they read the ExpKey terms view and build the whole JSON
+# object, which json.dumps(..., sort_keys=True) then prints.
+
+def ref_sorted_keys(x):
+    return [x.frame.sparse_key(k) for k in sorted(x.dense)]
+
+
+def ref_to_text(x):
+    if not x.dense:
+        return "0"
+    parts = []
+    for k in ref_sorted_keys(x):
+        factors = "".join(f"z[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in k)
+        coeff = x.terms[k]
+        if coeff == {0: 1} and factors:
+            parts.append(factors)
+        elif factors:
+            parts.append(f"{tc_text(coeff)}*{factors}")
+        else:
+            parts.append(tc_text(coeff))
+    return " + ".join(parts)
+
+
+def ref_to_json_obj(x):
+    terms = []
+    for k in ref_sorted_keys(x):
+        for vpow in sorted(x.terms[k], reverse=True):
+            terms.append(
+                {"t_num": vpow, "c": x.terms[k][vpow], "exp": [[i, r, e] for (i, r), e in k]}
+            )
+    return {"terms": terms}
+
+
+VALUE_SEEDS = {
+    label: initial_seed(c, build_slice(c, window=(-6, 6)))
+    for label, c in (("A3", build_cartan("A", 3)), ("D4", build_cartan("D", 4)))
+}
+
+
+@st.composite
+def printed_values(draw, label):
+    """Sums of monomials on the seed's vertices, the constant monomial
+    included, with coefficients of both signs and up to three powers of v;
+    either key-born or moved into the seed's frame."""
+    seed = VALUE_SEEDS[label]
+    out = TorusElement.zero(seed.cartan)
+    for _ in range(draw(st.integers(0, 6))):
+        support = draw(st.lists(st.sampled_from(seed.slice.vertices), max_size=4, unique=True))
+        exp = {v: draw(st.integers(-3, 3)) for v in support}
+        coeff = draw(st.dictionaries(st.integers(-4, 4), st.integers(-12, 12), max_size=3))
+        out = out + TorusElement.monomial(seed.cartan, exp, coeff)
+    if draw(st.booleans()):
+        z = next(iter(seed.vars.values()))
+        out = exact_left_divide(z, z) * out
+        assert out.frame is z.frame
+    return out
+
+
+def printed(fn, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        fn(*args)
+    return out.getvalue()
+
+
+def assert_value_printed_as_reference(x):
+    head = {"vertex": [1, 2]}
+    as_json = printed(_emit_value, argparse.Namespace(json=True, t1=False), head, x)
+    want = {"schema": 1, **head, "t1": False, **ref_to_json_obj(x)}
+    assert as_json == json.dumps(want, sort_keys=True) + "\n"
+    as_text = printed(_emit_value, argparse.Namespace(json=False, t1=False), head, x)
+    assert as_text == ref_to_text(x) + "\n"
+
+
+class TestValueOutput:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(data=st.data(), label=st.sampled_from(sorted(VALUE_SEEDS)))
+    def test_random_values(self, data, label):
+        assert_value_printed_as_reference(data.draw(printed_values(label)))
+
+    def test_special_values(self):
+        c = VALUE_SEEDS["D4"].cartan
+        seed = mutate_along(VALUE_SEEDS["D4"], [(1, 4), (1, 2)])
+        for x in (
+            TorusElement.zero(c),
+            TorusElement.one(c),
+            TorusElement.monomial(c, {}, {3: -2, -1: 5}),
+            TorusElement.monomial(c, {(2, 1): -1}, -7),
+            seed.vars[(1, 2)],
+            seed.vars[(1, 2)] * seed.vars[(1, 4)] - TorusElement.one(c),
+        ):
+            assert_value_printed_as_reference(x)
+
+    def test_two_values_in_one_object(self):
+        # baxter's shape: two term arrays under keys that sort around others
+        c = VALUE_SEEDS["A3"].cartan
+        lhs = TorusElement.monomial(c, {(1, 2): 1}, {1: 1, -1: -3})
+        rhs = TorusElement.zero(c)
+        obj = {"r": 0, "ok": False, "lhs": lhs, "rhs": rhs}
+        want = {"schema": 1, "r": 0, "ok": False,
+                "lhs": ref_to_json_obj(lhs)["terms"], "rhs": ref_to_json_obj(rhs)["terms"]}
+        got = printed(_emit, argparse.Namespace(json=True), obj, "")
+        assert got == json.dumps(want, sort_keys=True) + "\n"

@@ -1,4 +1,6 @@
 import dataclasses
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from qgroth.cartan import build_cartan
 from qgroth.compat import check_compatible
 from qgroth.qcluster import (
     MutationError,
+    TermBudgetExceeded,
+    _exchange_sum,
+    _frame_monomial,
     classical_mutate_along,
     cp_exact_div,
     initial_seed,
@@ -17,6 +22,7 @@ from qgroth.qcluster import (
     mutate_along,
 )
 from qgroth.quiver import QuiverError, build_slice
+from qgroth.repchar import default_window, mutation_sequence
 from qgroth.qtorus import (
     NonExactDivision,
     TorusElement,
@@ -188,6 +194,101 @@ class TestMutationFailures:
             classical_mutate_along(a2, slc, SL3_PATH)
         assert info.value.vertex == SL3_PATH[1]
         assert info.value.path == (SL3_PATH[0],)
+
+
+    def test_long_remainder_message_is_short(self):
+        # D4 (1,0): step 19 divides a 5040-term sum by a 36-term variable
+        c = build_cartan("D", 4)
+        path = mutation_sequence(c, 1, 0).sequence
+        slc = build_slice(c, window=default_window(c, 1, 0))
+        seed = mutate_along(initial_seed(c, slc), path[:19])
+        k = path[19]
+        num = _exchange_sum(seed, k, slc.column_of(k))
+        with pytest.raises(NonExactDivision) as info:
+            exact_left_divide(num, seed.vars[k].scaled(2))
+        err = info.value
+        assert (err.num_terms, err.den_terms) == (5040, 36)
+        message = str(err)
+        assert len(message) < 2000
+        assert err.reason in message
+        assert "5040-term numerator" in message and "36-term divisor" in message
+        rest = len(err.remainder.dense) - NonExactDivision.SHOWN_TERMS
+        assert rest > 0 and message.endswith(f" … and {rest} more terms")
+
+
+class TestTermBudget:
+    # along D4 (1,0), a budget of 2 first breaks on the 3-term exchange sum at
+    # step 1, and one of 200 on a 1774-term partial product at step 19
+    CASES = [(2, 1, "the exchange sum"), (200, 19, "an exchange product")]
+
+    @pytest.fixture(scope="class")
+    def d4_path(self):
+        c = build_cartan("D", 4)
+        return c, build_slice(c, window=default_window(c, 1, 0)), mutation_sequence(c, 1, 0).sequence
+
+    @pytest.mark.parametrize("budget, step, what", CASES)
+    @pytest.mark.parametrize("engine", ["quantum", "classical"])
+    def test_budget_names_vertex_path_and_sizes(self, d4_path, monkeypatch, engine, budget, step, what):
+        c, slc, path = d4_path
+        monkeypatch.setattr(qcluster, "TERM_BUDGET", budget)
+        with pytest.raises(TermBudgetExceeded) as info:
+            if engine == "quantum":
+                mutate_along(initial_seed(c, slc), path)
+            else:
+                classical_mutate_along(c, slc, path)
+        err = info.value
+        assert isinstance(err, MutationError)
+        assert err.vertex == path[step] and err.path == path[:step]
+        assert err.terms > err.budget == budget
+        message = str(err)
+        assert f"mutation at {path[step]} after path {list(path[:step])}: " in message
+        assert f"{what} has {err.terms} terms, more than the term budget of {budget}" in message
+
+    def test_default_budget_holds_the_largest_known_sum(self):
+        # D5 (2,1) divides a 1 201 258-term exchange sum
+        assert qcluster.TERM_BUDGET > 1_201_258
+
+
+def ref_frame_monomial(seed, exps, shift):
+    """The exchange monomial as the ordered product, then scaled by its
+    v-power: the order of work before the power moved onto the first factor."""
+    rows = sorted(exps)
+    lam = seed.lambda_current
+    for a_idx, u in enumerate(rows):
+        for w in rows[a_idx + 1 :]:
+            shift -= exps[u] * exps[w] * int(lam[u, w])
+    verts = seed.slice.vertices
+    factors = [seed.vars[verts[u]] for u in rows for _ in range(exps[u])]
+    if not factors:
+        return TorusElement.monomial(seed.cartan, {}, {shift: 1})
+    return reduce(mul, factors).scaled({shift: 1})
+
+
+FRAME_MONOMIAL_SEEDS = {
+    "A3": mutate_along(
+        initial_seed(build_cartan("A", 3), build_slice(build_cartan("A", 3), window=(-1, 8))),
+        [(1, 6), (1, 4), (2, 5), (3, 6)],
+    ),
+    "D4": mutate_along(
+        initial_seed(build_cartan("D", 4), build_slice(build_cartan("D", 4), window=(-1, 8))),
+        [(1, 6), (1, 4), (1, 2), (2, 5)],
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    data=st.data(),
+    label=st.sampled_from(sorted(FRAME_MONOMIAL_SEEDS)),
+    shift=st.integers(-6, 6),
+)
+def test_frame_monomial_scales_the_first_factor(data, label, shift):
+    seed = FRAME_MONOMIAL_SEEDS[label]
+    rows = range(len(seed.slice.vertices))
+    exps = data.draw(st.dictionaries(st.sampled_from(rows), st.integers(1, 2), max_size=4))
+    k = seed.slice.exchangeable[0]
+    got = _frame_monomial(seed, k, exps, shift)
+    assert got == ref_frame_monomial(seed, exps, shift)
 
 
 CORE_CARTANS = {

@@ -1,3 +1,4 @@
+import json
 import random
 from functools import cmp_to_key
 from operator import add, mul
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgroth.cartan import build_cartan, skew_form
+from qgroth.cli import _json_chunks
 from qgroth.qcluster import initial_seed
 from qgroth.quiver import build_slice
 from qgroth.qtorus import (
@@ -339,11 +341,29 @@ class TestRendering:
 
     def test_json_deterministic(self, a2):
         x = monomial(a2, {(1, 0): 1, (2, 1): -2}, {1: 1}) + monomial(a2, {(1, 2): 1})
-        assert x.to_json_obj() == x.to_json_obj()
-        assert all("t_num" in term for term in x.to_json_obj()["terms"])
+        text = "".join(_json_chunks({"terms": x}))
+        assert text == "".join(_json_chunks({"terms": x}))
+        assert all("t_num" in term for term in json.loads(text)["terms"])
 
     def test_zero(self, a1):
         assert TorusElement.zero(a1).to_text() == "0"
+        assert TorusElement.zero(a1).to_text(2) == "0"
+
+    def test_text_limit(self, a1):
+        x = TorusElement.zero(a1)
+        for r in range(-4, 6, 2):
+            x = x + monomial(a1, {(1, r): 1}, {r: 1})
+        whole = x.to_text()
+        assert whole.count(" + ") == 4
+        assert x.to_text(2) == " + ".join(whole.split(" + ")[:2]) + " … and 3 more terms"
+        assert x.to_text(5) == x.to_text(9) == whole
+
+    def test_printing_builds_no_terms_view(self, a1):
+        x = monomial(a1, {(1, 2): 1, (1, 0): -1}) + monomial(a1, {(1, -2): 1}, {-1: 2})
+        y = x * x
+        y.to_text(), y.to_text(1), list(y.sorted_terms())
+        "".join(_json_chunks({"terms": y}))
+        assert y._terms is None
 
 
 class TestZeroCoefficients:
@@ -404,6 +424,10 @@ def ref_cp_mul(a, b):
     return {k: n for k, n in out.items() if n}
 
 
+def keys_in_order(x):
+    return [k for k, _ in x.sorted_terms()]
+
+
 def ref_key_cmp(a, b):
     """Lex comparison along the reading order; a missing vertex counts as 0."""
     ea, eb = dict(a), dict(b)
@@ -462,7 +486,9 @@ class TestDenseCoreAgainstReferences:
         if not x:
             return
         want = sorted(x.terms, key=cmp_to_key(ref_key_cmp), reverse=True)
-        assert x.sorted_keys() == want
+        assert keys_in_order(x) == want
+        assert [k for k, _ in x.sorted_terms(3)] == want[:3]
+        assert all(c == x.terms[k] for k, c in x.sorted_terms())
         assert (x.lead_key(), x.trail_key()) == (want[0], want[-1])
 
     def test_term_order_disjoint_supports(self, d4):
@@ -475,7 +501,7 @@ class TestDenseCoreAgainstReferences:
         keys = [make_key(e) for e in exps]
         want = sorted(keys, key=cmp_to_key(ref_key_cmp), reverse=True)
         assert want[0] == make_key({(2, 3): 1}) and want[-1] == make_key({(1, 2): -1})
-        assert x.sorted_keys() == want
+        assert keys_in_order(x) == want
         assert (x.lead_key(), x.trail_key()) == (want[0], want[-1])
 
 
@@ -518,7 +544,7 @@ class TestSeedFrame:
         assert (xs * y).terms == (x * ys).terms == ref_star(x, y)
         assert (xs + ys).terms == (xs + y).terms == (x + y).terms
         assert xs.bar() == x.bar() and xs.bar().frame is xs.frame
-        assert xs.sorted_keys() == x.sorted_keys()
+        assert keys_in_order(xs) == keys_in_order(x)
         if x:
             assert exact_left_divide(xs * ys, xs) == exact_left_divide(x * y, x) == y
             assert exact_left_divide(xs * ys, xs).frame is xs.frame
@@ -651,4 +677,37 @@ class TestCoefficientLayer:
                 exact_left_divide(a, b)
             except NonExactDivision:
                 pass
+        assert snapshot(*operands) == before
+
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)), s=laurent())
+    def test_shared_coefficients_stay_unchanged(self, data, label, s):
+        x = in_seed_frame(data.draw(mixed_elements(label, coeff_terms=3)), label)
+        y = in_seed_frame(data.draw(mixed_elements(label, coeff_terms=3)), label)
+        w = data.draw(mixed_elements(label, coeff_terms=3))
+        total, prod = x + y, x * w
+        # an exponent only one operand has keeps that operand's coefficient dict
+        for k, c in total.dense.items():
+            if k not in y.dense:
+                assert c is x.dense[k]
+            elif k not in x.dense:
+                assert c is y.dense[k]
+        # equal coefficients of a product are one dict
+        by_items = {}
+        for c in prod.dense.values():
+            assert by_items.setdefault(tuple(c.items()), c) is c
+        operands = (x, y, w, total, prod)
+        before = snapshot(*operands)
+        for a, b in ((total, x), (y, total), (total, w), (w, total), (total, total),
+                     (prod, total), (total, prod), (prod, prod)):
+            a + b, a - b, a * b, a == b
+            if b:
+                try:
+                    exact_left_divide(a, b)
+                except NonExactDivision:
+                    pass
+        for a in (total, prod):
+            -a, a.scaled(s), a.bar(), hash(a), a.to_text()
+            "".join(_json_chunks({"terms": a}))
+            evaluate_t1(a)
         assert snapshot(*operands) == before

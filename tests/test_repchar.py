@@ -154,6 +154,22 @@ class TestClassicalOracle:
         assert len(chi) == dim
         assert all(m == 1 for m in chi.values())
 
+    @pytest.mark.parametrize(
+        "label,rank,i",
+        [("A", n, i) for n in range(1, 6) for i in range(1, n + 1)]
+        + [("D", 4, 1), ("D", 4, 3), ("D", 4, 4), ("D", 5, 1), ("D", 5, 4), ("D", 5, 5),
+           ("E", 6, 1), ("E", 6, 6)],
+    )
+    def test_embedded_equals_summed_elements(self, label, rank, i):
+        # the reference sums one TorusElement per monomial, as the oracle did
+        # before it summed the t=1 images into one dict
+        c = build_cartan(label, rank)
+        r = 0 if c.in_ihat(i, 0) else 1
+        total = TorusElement.zero(c)
+        for mono in classical_fm_qchar(c, i, r):
+            total = total + embed_Y(c, dict(mono))
+        assert fm_qchar_embedded(c, i, r) == evaluate_t1(total)
+
     @pytest.mark.parametrize("label,rank,i", [("D", 4, 2), ("E", 8, 1)])
     def test_non_minuscule_rejected(self, label, rank, i):
         # the D4 node-2 module has a monomial of multiplicity 2 (dimension
