@@ -21,7 +21,6 @@ from .qtorus import (
     evaluate_t1,
     exact_left_divide,
     lambda_of,
-    weight_character,
 )
 from .qcluster import QuantumSeed, classical_mutate_along, initial_seed, mutate, mutate_along
 from .repchar import (

@@ -73,7 +73,6 @@ class CartanData:
     dynkin_type: str
     rank: int
     cartan: np.ndarray
-    adjacency: frozenset[frozenset[int]]
     dual_coxeter: int
     # _table[m] = (Ct(m), F(m)), filled on demand from the two seed degrees
     _table: list[tuple[list[list[int]], list[list[int]]]] = field(repr=False)
@@ -143,7 +142,6 @@ def build_cartan(type_label: str, rank: int) -> CartanData:
         dynkin_type=type_label,
         rank=rank,
         cartan=cartan,
-        adjacency=frozenset(edges),
         dual_coxeter=DUAL_COXETER[type_label](rank),
         _neighbors=neighbors,
         _node_class=node_class,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success/PASS, 1 a verification FAILed, 2 usage or domain error
-(a mutation past qcluster.TERM_BUDGET terms counts as one).
+(a mutation past qcluster.TERM_BUDGET terms, or out of memory, counts as one).
 JSON output carries a top-level {"schema": 1} and is deterministic for a
 given invocation.
 """
@@ -18,6 +18,7 @@ from .cartan import CartanError, build_cartan, ctilde
 from .compat import build_lambda, check_compatible
 from .quiver import QuiverError, build_slice
 from .qcluster import (
+    TERM_BUDGET,
     MutationError,
     TermBudgetExceeded,
     classical_mutate_along,
@@ -427,6 +428,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (UsageError, CartanError, QuiverError, RepCharError, TermBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory within the term budget of {TERM_BUDGET} terms", file=sys.stderr)
         return 2
     except (TorusError, MutationError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)

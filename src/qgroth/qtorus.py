@@ -12,9 +12,8 @@ extended bilinearly, via comm(e) * comm(f) = v^Lambda(e,f) comm(e+f).
 
 Also provided: the embedding of Y-variable monomials (Y keyed by (i,r),
 standing for the Y-variable at spectral shift r+1, maps to z[i,r]/z[i,r+2]),
-evaluation at t=1, the weight-group-ring character, and exact left division
-(the workhorse of quantum exchange relations, where the Laurent phenomenon
-guarantees exactness).
+evaluation at t=1, and exact left division (the workhorse of quantum
+exchange relations, where the Laurent phenomenon guarantees exactness).
 
 Division terminates by proof, not by a step cap.  The torus is a domain and
 the twist only moves v-powers, so in every vertex the exponent range of a
@@ -27,18 +26,21 @@ once; a candidate outside the box certifies at once that no quotient exists.
 Each element is stored dense in a frame: vertices in reading order, with
 the skew form on them, read whole in one call to cartan.skew_form.
 Exponents are tuples over the frame, negated, so plain tuple order is the
-reverse of the lex order.  A seed's variables share one frame whose skew
-form is the seed's Lambda, so their arithmetic converts nothing; terms, the
-ExpKey view, is built only when read.  Printing never reads it: to_text and
-sorted_terms render each term from its dense key and the frame's vertices,
-one term at a time.  Coefficient dicts are never written once their element
-is built, so a sum shares those of every exponent only one operand has, and
-a product lets equal coefficients share one dict.  Operands in two frames
-meet in either one when it holds the other's vertices, else in a new frame
-on their union.  By skew symmetry a product or a division reads only the
-twist rows of its right factor or divisor, and each element caches its own.
-The classical (t=1) engine uses the same TorusElement with no Cartan data:
-an untwisted frame, where the same product and division run at zero twist.
+reverse of the lex order.  The dense terms are the one copy of an element's
+terms: the constructor sums the given terms into fresh dicts, so keys of one
+monomial add up and zero exponents vanish, and terms, the ExpKey view, is
+built from them only when read.  Printing never reads it: to_text and
+sorted_terms render each term from its dense key, one at a time.  A seed's
+variables share one frame whose skew form is the seed's Lambda, so their
+arithmetic converts nothing.  Coefficient dicts are never written once their
+element is built, so a sum shares those of every exponent only one operand
+has, and a product lets equal coefficients share one dict.  Operands in two
+frames meet in either one when it holds the other's vertices, else in a new
+frame on their union.  By skew symmetry a product or a division reads only
+the twist rows of its right factor or divisor, and each element caches its
+own.  The classical (t=1) engine uses the same TorusElement with no Cartan
+data: an untwisted frame, where the same product and division run at zero
+twist.
 """
 
 from __future__ import annotations
@@ -103,11 +105,6 @@ def _add_product(target: TCoeff, c1: TCoeff, c2: TCoeff, shift: int = 0) -> TCoe
     return target
 
 
-def _nonzero(a: TCoeff) -> TCoeff:
-    """a without its zero v-power entries."""
-    return {k: v for k, v in a.items() if v}
-
-
 def tc_exact_div(num: TCoeff, den: TCoeff) -> TCoeff:
     """Exact division of Laurent polynomials in v over the integers."""
     if not den:
@@ -166,7 +163,7 @@ class _Frame:
     dense(key) negates the exponents, so plain tuple order on dense vectors
     is the reverse of the lex order along the reading order (a vertex
     missing from a key counts as exponent 0), and min picks the leading
-    term.  sparse_key and sparse map dense keys back to ExpKeys.  With
+    term.  sparse_key maps a dense key back to its ExpKey.  With
     Cartan data, lam is cartan.skew_form of the vertices, read whole at
     construction, and the twist row of a dense exponent e is its Lambda
     row: Lambda(e, f) = twist(e) . f, since the negations of e and f
@@ -183,17 +180,16 @@ class _Frame:
         self.lam = None if cartan is None else skew_form(cartan, self.verts)
 
     def dense(self, key: ExpKey) -> tuple[int, ...]:
+        """key's dense key; its factors may come in any order."""
         out = [0] * len(self.verts)
         for u, e in key:
-            out[self.col[u]] = -e
+            if e:
+                out[self.col[u]] -= e
         return tuple(out)
 
     def sparse_key(self, k: tuple[int, ...]) -> ExpKey:
         verts = self.verts
         return tuple((verts[j], -e) for j, e in enumerate(k) if e)
-
-    def sparse(self, terms: dict) -> dict[ExpKey, TCoeff]:
-        return {self.sparse_key(k): c for k, c in terms.items()}
 
     def twists(self, keys) -> dict:
         """The twist row of each dense key."""
@@ -232,13 +228,16 @@ class TorusElement:
 
     __slots__ = ("cartan", "frame", "dense", "_terms", "_rows")
 
-    def __init__(self, cartan: CartanData | None, terms: dict[ExpKey, TCoeff]):
-        terms = {k: c for k, c in ((k, _nonzero(c)) for k, c in terms.items()) if c}
+    def __init__(self, cartan: CartanData | None, terms: Mapping[ExpKey, TCoeff]):
+        """The sum of the given terms, added into fresh coefficient dicts."""
         self.cartan = cartan
-        self.frame = _Frame({u for k in terms for u, _ in k}, cartan)
-        self.dense = {self.frame.dense(k): c for k, c in terms.items()}
-        self._terms = MappingProxyType(terms)
-        self._rows = None
+        nonzero = [(k, c) for k, c in terms.items() if any(c.values())]
+        self.frame = frame = _Frame({u for k, _ in nonzero for u, e in k if e}, cartan)
+        dense: dict[tuple[int, ...], TCoeff] = {}
+        for k, c in nonzero:
+            _add_product(dense.setdefault(frame.dense(k), {}), c, {0: 1})
+        self.dense = {k: c for k, c in dense.items() if c}
+        self._terms = self._rows = None
 
     @classmethod
     def _of(cls, frame: _Frame, dense: dict) -> "TorusElement":
@@ -252,7 +251,8 @@ class TorusElement:
     def terms(self) -> Mapping[ExpKey, TCoeff]:
         """The terms keyed by ExpKey: a read-only view, built on first read."""
         if self._terms is None:
-            self._terms = MappingProxyType(self.frame.sparse(self.dense))
+            key = self.frame.sparse_key
+            self._terms = MappingProxyType({key(k): c for k, c in self.dense.items()})
         return self._terms
 
     def _twist_rows(self) -> dict:
@@ -344,10 +344,11 @@ class TorusElement:
         return TorusElement._of(x.frame, _star(x.dense, y.dense, y._twist_rows()))
 
     def scaled(self, coeff: TCoeff | int) -> "TorusElement":
-        coeff = _nonzero({0: coeff} if isinstance(coeff, int) else coeff)
+        if isinstance(coeff, int):
+            coeff = {0: coeff}
         return TorusElement._of(
             self.frame,
-            {k: _add_product({}, c, coeff) for k, c in self.dense.items()} if coeff else {},
+            {k: p for k, c in self.dense.items() if (p := _add_product({}, c, coeff))},
         )
 
     def bar(self) -> "TorusElement":
@@ -408,7 +409,7 @@ def frame_variables(c: CartanData | None, verts: Sequence[Vertex]) -> dict[Verte
     """The monomials z[v] for v in verts, in any order, all in one frame on
     verts.  With c None the frame is untwisted: the commutative (t=1) ring."""
     frame = _Frame(verts, c)
-    return {v: TorusElement.monomial(c, {v: 1})._moved(frame) for v in verts}
+    return {v: TorusElement._of(frame, {frame.dense(((v, 1),)): {0: 1}}) for v in verts}
 
 
 # ----------------------------------------------------- Y-variable embedding
@@ -460,28 +461,6 @@ def evaluate_t1(a: TorusElement) -> dict[ExpKey, int]:
     return out
 
 
-def weight_character(a: TorusElement) -> dict[tuple[int, ...], int]:
-    """Group-ring character: z[i,r]^{+-1} maps to the weight -+(r/2) omega_i.
-
-    Weights are tuples of doubled fundamental-weight coordinates (so that
-    half-integers stay integral); t-powers map to 1."""
-    n = a.cartan.rank
-    out: dict[tuple[int, ...], int] = {}
-    for k, c in a.terms.items():
-        w = [0] * n
-        for (i, r), e in k:
-            w[i - 1] += -r * e
-        coeff = sum(c.values())
-        if coeff:
-            key = tuple(w)
-            tot = out.get(key, 0) + coeff
-            if tot:
-                out[key] = tot
-            else:
-                out.pop(key, None)
-    return out
-
-
 # ------------------------------------------------ product and exact division
 
 def _star(a: dict, b: dict, rows: dict) -> dict:
@@ -514,17 +493,21 @@ def _star(a: dict, b: dict, rows: dict) -> dict:
     return out
 
 
-def _divide(a: dict, d: dict, rows: dict) -> tuple[dict, dict, str | None]:
-    """Left-divide dense terms in one frame: solve d * x = a, where rows
-    maps each term of d to its twist row (None: untwisted), d nonzero.
+def _divide(frame: _Frame, a: dict, d: dict, rows: dict) -> dict:
+    """Left-divide dense terms in frame: the quotient x of d * x = a, where
+    rows maps each term of d to its twist row (None: untwisted), d nonzero.
 
-    Returns (quotient, {}, None) when the division is exact, and otherwise
-    (partial quotient, remainder, reason) with a NonExactDivision reason.
     A min-heap of the remainder's keys pops its leading term (see
-    exact_left_divide), and each step subtracts d times one quotient term."""
+    exact_left_divide), and each step subtracts d times one quotient term.
+    Where no quotient exists it raises NonExactDivision at once, with the
+    reason and the remainder at that point."""
     if not a:
-        return {}, {}, None
+        return {}
     rem = dict(a)
+
+    def failure(reason: str) -> NonExactDivision:
+        return NonExactDivision(reason, TorusElement._of(frame, rem), len(a), len(d))
+
     # the degree box; negating exponents maps it onto the same formula
     lo = tuple(map(sub, map(min, zip(*rem)), map(min, zip(*d))))
     hi = tuple(map(sub, map(max, zip(*rem)), map(max, zip(*d))))
@@ -537,19 +520,18 @@ def _divide(a: dict, d: dict, rows: dict) -> tuple[dict, dict, str | None]:
     heapify(heap)
     while heap:
         m = heappop(heap)
-        cm = rem.pop(m, None)
+        cm = rem.get(m)
         if cm is None:
             continue
         ex = tuple(map(sub, m, lead))
         if not (all(map(le, lo, ex)) and all(map(le, ex, hi))):
-            rem[m] = cm
-            return quot, rem, NonExactDivision.OUTSIDE_BOX
+            raise failure(NonExactDivision.OUTSIDE_BOX)
         shift = sum(map(mul, lead_row, ex)) if lead_row else 0
         try:
             cx = tc_exact_div(cm, _add_product({}, lead_coeff, {shift: 1}))
         except TorusError:
-            rem[m] = cm
-            return quot, rem, NonExactDivision.NON_EXACT_COEFFICIENT
+            raise failure(NonExactDivision.NON_EXACT_COEFFICIENT) from None
+        del rem[m]
         quot[ex] = cx
         # rem -= d * term; the leading product cancels cm exactly
         neg_cx = _add_product({}, cx, {0: -1})
@@ -563,7 +545,7 @@ def _divide(a: dict, d: dict, rows: dict) -> tuple[dict, dict, str | None]:
             _add_product(target, cd, neg_cx, sum(map(mul, row, ex)) if row else 0)
             if not target:
                 del rem[k]  # its heap entry is skipped when popped
-    return quot, {}, None
+    return quot
 
 
 def exact_left_divide(a: TorusElement, d: TorusElement) -> TorusElement:
@@ -582,9 +564,4 @@ def exact_left_divide(a: TorusElement, d: TorusElement) -> TorusElement:
     if not d:
         raise TorusError("division by zero")
     x, y = a._join(d)
-    quot, rem, reason = _divide(x.dense, y.dense, y._twist_rows())
-    if reason:
-        raise NonExactDivision(
-            reason, TorusElement._of(x.frame, rem), len(a.dense), len(d.dense)
-        )
-    return TorusElement._of(x.frame, quot)
+    return TorusElement._of(x.frame, _divide(x.frame, x.dense, y.dense, y._twist_rows()))

@@ -171,8 +171,8 @@ def crit_2_d4_golden() -> Verdict:
     return _verdict("D4 golden matrices", True, "16x8 B, 16x16 Lambda, B^T L = -2 Id")
 
 
-def crit_3_compat_sweep(seed: int = 20230823) -> Verdict:
-    rng = random.Random(seed)
+def crit_3_compat_sweep() -> Verdict:
+    rng = random.Random(20230823)
     for label, rank in COMPAT_SWEEP_TYPES:
         c = build_cartan(label, rank)
         for n in (1, 2, 3):
@@ -324,17 +324,17 @@ def crit_9_drinfeld() -> Verdict:
     return _verdict("Drinfeld double", True, "7 relations; sign falsification fails")
 
 
-def _random_element(rng, c, verts, max_terms=5) -> TorusElement:
+def _random_element(rng, c, verts) -> TorusElement:
     out = TorusElement.zero(c)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 5)):
         exp = {v: rng.randint(-2, 2) for v in rng.sample(verts, rng.randint(1, 3))}
         coeff = {rng.randint(-3, 3): rng.randint(-4, 4)}
         out = out + TorusElement.monomial(c, exp, coeff)
     return out
 
 
-def crit_10_properties(seed: int = 20230823) -> Verdict:
-    rng = random.Random(seed)
+def crit_10_properties() -> Verdict:
+    rng = random.Random(20230823)
     # telescoping identity for all gaps <= 40
     for label, rank in COMPAT_SWEEP_TYPES:
         c = build_cartan(label, rank)

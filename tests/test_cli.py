@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgroth import qcluster
+from qgroth import qcluster, qtorus
 from qgroth.cartan import build_cartan
 from qgroth.cli import _emit, _emit_value, main
 from qgroth.qcluster import initial_seed, mutate_along
@@ -256,6 +256,19 @@ class TestTermBudget:
         assert code == 2
         assert not out
         assert "term budget of 3" in err
+
+    @pytest.mark.parametrize("engine", [[], ["--t1"]], ids=["quantum", "t1"])
+    def test_out_of_memory_is_a_domain_error(self, capsys, monkeypatch, engine):
+        # a star product can outgrow memory before the budget check sees it
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(qtorus, "_star", exhausted)
+        argv = ["fund-char", "--type", "D", "--rank", "4", "--i", "1", "--r", "0", *engine]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert not out
+        assert err == f"error: out of memory within the term budget of {qcluster.TERM_BUDGET} terms\n"
 
 
 # ------------------------------------------- printed values against a reference

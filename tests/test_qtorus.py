@@ -24,21 +24,9 @@ from qgroth.qtorus import (
     make_key,
     tc_exact_div,
     vertex_sort_key,
-    weight_character,
 )
 
 monomial = TorusElement.monomial
-
-
-def weight_mul(a, b):
-    """Product in the weight group ring: the reference for the
-    multiplicativity of weight_character."""
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = tuple(x + y for x, y in zip(wa, wb))
-            out[w] = out.get(w, 0) + ca * cb
-    return {w: n for w, n in out.items() if n}
 
 
 @pytest.fixture(scope="module")
@@ -232,26 +220,6 @@ class TestEvaluateT1:
         }
 
 
-class TestWeightCharacter:
-    def test_single_variable(self, a1):
-        # z[1,2] carries weight -omega_1, stored doubled
-        assert weight_character(monomial(a1, {(1, 2): 1})) == {(-2,): 1}
-
-    def test_unit(self, a2):
-        assert weight_character(TorusElement.one(a2)) == {(0, 0): 1}
-
-    def test_embedded_y(self, a1):
-        # the Y-variable at shift -1 has weight omega_1
-        assert weight_character(embed_Y(a1, {(1, -2): 1})) == {(2,): 1}
-
-    def test_multiplicative(self, a2):
-        x = monomial(a2, {(1, 0): 1, (2, 3): -1}, {1: 1})
-        y = monomial(a2, {(1, 2): 2})
-        assert weight_character(x * y) == weight_mul(
-            weight_character(x), weight_character(y)
-        )
-
-
 class TestExactDivision:
     def test_round_trip_random(self, a2):
         rng = random.Random(17)
@@ -366,11 +334,37 @@ class TestRendering:
         assert y._terms is None
 
 
+class TestConstructor:
+    def test_keys_of_one_monomial_add_up(self, d4):
+        k1 = (((1, 0), 1), ((2, -1), 2))
+        k2 = (((2, -1), 2), ((1, 0), 1))
+        c1, c2 = {0: 1}, {0: 1, 3: 0}
+        x = TorusElement(d4, {k1: c1, k2: c2})
+        want = monomial(d4, {(1, 0): 1, (2, -1): 2}, 2)
+        assert x.terms == want.terms == {make_key({(1, 0): 1, (2, -1): 2}): {0: 2}}
+        assert x == want and hash(x) == hash(want)
+        assert (c1, c2) == ({0: 1}, {0: 1, 3: 0})
+        # the element holds no reference to the caller's dicts
+        c1[0] = c2[0] = 5
+        assert x.terms == want.terms
+        assert not TorusElement(d4, {k1: {1: 1}, k2: {1: -1}})
+
+    def test_zero_exponent_vanishes(self, d4):
+        one = TorusElement.one(d4)
+        x = TorusElement(d4, {(((1, 0), 0),): {0: 1}})
+        assert x.terms == one.terms == {(): {0: 1}}
+        assert x == one and hash(x) == hash(one)
+        y = TorusElement(d4, {(((1, 0), 0), ((2, 1), -1)): {1: 3}})
+        want = monomial(d4, {(2, 1): -1}, {1: 3})
+        assert y.terms == want.terms and y == want and hash(y) == hash(want)
+
+
 class TestZeroCoefficients:
     def test_dropped_on_construction(self, a2):
         x = monomial(a2, {(1, 0): 1}, {1: 2})
         z = monomial(a2, {(2, 1): 1}, {3: 0})
         assert not z and z.to_text() == "0" and z == TorusElement.zero(a2)
+        assert z.frame.verts == ()  # a zero term brings no vertex
         assert x + z == x and z + x == x
         mixed = monomial(a2, {(1, 2): 1}, {0: 0, 2: 5})
         assert mixed.terms == {make_key({(1, 2): 1}): {2: 5}}
@@ -589,6 +583,16 @@ class TestFrames:
         z = seed.vars[seed.slice.vertices[0]]
         assert_frame_whole(z.frame)
         assert z.frame.verts == tuple(seed.slice.vertices)
+
+    def test_equal_vertex_sets_meet_unmoved(self, d4):
+        # distinct frames on one vertex set meet as they are, with no new
+        # frame and no moved copy
+        x = monomial(d4, {(1, 0): 1, (2, -1): -1}, {1: 2})
+        y = monomial(d4, {(2, -1): 2, (1, 0): 1})
+        assert x.frame is not y.frame and x.frame.verts == y.frame.verts
+        a, b = x._join(y)
+        assert a is x and b is y
+        assert (x * y).frame is x.frame and (y + x).frame is y.frame
 
     def test_untwisted_frame_has_no_skew_form(self):
         assert TorusElement.monomial(None, {(1, 0): 1, (1, 2): -1}).frame.lam is None
