@@ -330,9 +330,9 @@ def cmd_verify_all(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
-def _add_type_rank(p, required=True):
-    p.add_argument("--type", required=required, choices=["A", "D", "E"])
-    p.add_argument("--rank", required=required, type=int)
+def _add_type_rank(p):
+    p.add_argument("--type", required=True, choices=["A", "D", "E"])
+    p.add_argument("--rank", required=True, type=int)
 
 
 def _add_slice_args(p):

@@ -48,7 +48,8 @@ def check_compatible(
     """Verify that B^T Lambda is diagonal on the exchangeable columns.
 
     Returns the signed diagonal; any constant nonzero diagonal with zero
-    off-pattern entries counts as compatible."""
+    off-pattern entries counts as compatible, and so, vacuously, does the
+    empty diagonal of a slice with no exchangeable vertex (4 levels)."""
     if lam.shape != (b.shape[0], b.shape[0]):
         raise QuiverError(
             f"shape mismatch: B is {b.shape}, Lambda is {lam.shape}"
@@ -58,7 +59,7 @@ def check_compatible(
     diag = tuple(prod[pivots].tolist())
     prod[pivots] = 0
     violations = tuple((k, u, int(prod[k, u])) for k, u in np.argwhere(prod).tolist())
-    ok = not violations and all(d != 0 for d in diag) and len(set(diag)) == 1
+    ok = not violations and 0 not in diag and len(set(diag)) <= 1
     return CompatReport(ok=ok, diag=diag, violations=violations)
 
 

@@ -37,10 +37,9 @@ element is built, so a sum shares those of every exponent only one operand
 has, and a product lets equal coefficients share one dict.  Operands in two
 frames meet in either one when it holds the other's vertices, else in a new
 frame on their union.  By skew symmetry a product or a division reads only
-the twist rows of its right factor or divisor, and each element caches its
-own.  The classical (t=1) engine uses the same TorusElement with no Cartan
-data: an untwisted frame, where the same product and division run at zero
-twist.
+the twist rows of its right factor or divisor, built once per call.  The
+classical (t=1) engine uses the same TorusElement with no Cartan data: an
+untwisted frame, where the same product and division run at zero twist.
 """
 
 from __future__ import annotations
@@ -226,26 +225,28 @@ class TorusElement:
     product.  Elements over different Cartan data, or one twisted and one
     untwisted, never meet in one operation."""
 
-    __slots__ = ("cartan", "frame", "dense", "_terms", "_rows")
+    __slots__ = ("frame", "dense", "_terms")
 
     def __init__(self, cartan: CartanData | None, terms: Mapping[ExpKey, TCoeff]):
         """The sum of the given terms, added into fresh coefficient dicts."""
-        self.cartan = cartan
         nonzero = [(k, c) for k, c in terms.items() if any(c.values())]
         self.frame = frame = _Frame({u for k, _ in nonzero for u, e in k if e}, cartan)
         dense: dict[tuple[int, ...], TCoeff] = {}
         for k, c in nonzero:
             _add_product(dense.setdefault(frame.dense(k), {}), c, {0: 1})
         self.dense = {k: c for k, c in dense.items() if c}
-        self._terms = self._rows = None
+        self._terms = None
 
     @classmethod
     def _of(cls, frame: _Frame, dense: dict) -> "TorusElement":
         """The element with these dense terms in frame."""
         el = cls.__new__(cls)
-        el.cartan, el.frame, el.dense = frame.cartan, frame, dense
-        el._terms = el._rows = None
+        el.frame, el.dense, el._terms = frame, dense, None
         return el
+
+    @property
+    def cartan(self) -> CartanData | None:
+        return self.frame.cartan
 
     @property
     def terms(self) -> Mapping[ExpKey, TCoeff]:
@@ -254,11 +255,6 @@ class TorusElement:
             key = self.frame.sparse_key
             self._terms = MappingProxyType({key(k): c for k, c in self.dense.items()})
         return self._terms
-
-    def _twist_rows(self) -> dict:
-        if self._rows is None:
-            self._rows = self.frame.twists(self.dense)
-        return self._rows
 
     def _join(self, other: "TorusElement") -> tuple["TorusElement", "TorusElement"]:
         """self and other in one frame: the frame of either one when it
@@ -278,11 +274,9 @@ class TorusElement:
         """This element in a frame that holds its frame's vertices."""
         # column -1 reads the 0 appended to each key
         src = [self.frame.col.get(u, -1) for u in frame.verts]
-        el = TorusElement._of(
+        return TorusElement._of(
             frame, {tuple(map((k + (0,)).__getitem__, src)): c for k, c in self.dense.items()}
         )
-        el._terms = self._terms
-        return el
 
     # -- constructors
     @classmethod
@@ -341,7 +335,7 @@ class TorusElement:
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         """Star product: comm(e) * comm(f) = v^Lambda(e,f) comm(e+f)."""
         x, y = self._join(other)
-        return TorusElement._of(x.frame, _star(x.dense, y.dense, y._twist_rows()))
+        return TorusElement._of(x.frame, _star(x.dense, y.dense, y.frame.twists(y.dense)))
 
     def scaled(self, coeff: TCoeff | int) -> "TorusElement":
         if isinstance(coeff, int):
@@ -453,12 +447,9 @@ def a_monomial(c: CartanData, i: int, r: int) -> dict[Vertex, int]:
 
 def evaluate_t1(a: TorusElement) -> dict[ExpKey, int]:
     """Evaluate at t=1: each coefficient collapses to its integer value."""
-    out: dict[ExpKey, int] = {}
-    for k, c in a.terms.items():
-        n = sum(c.values())
-        if n:
-            out[k] = n
-    return out
+    key = a.frame.sparse_key
+    sums = ((k, sum(c.values())) for k, c in a.dense.items())
+    return {key(k): n for k, n in sums if n}
 
 
 # ------------------------------------------------ product and exact division
@@ -564,4 +555,5 @@ def exact_left_divide(a: TorusElement, d: TorusElement) -> TorusElement:
     if not d:
         raise TorusError("division by zero")
     x, y = a._join(d)
-    return TorusElement._of(x.frame, _divide(x.frame, x.dense, y.dense, y._twist_rows()))
+    rows = y.frame.twists(y.dense)
+    return TorusElement._of(x.frame, _divide(x.frame, x.dense, y.dense, rows))

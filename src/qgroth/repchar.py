@@ -250,13 +250,9 @@ def thinness_flatten_check(c: CartanData, i: int, r: int) -> Verdict:
     if c.dynkin_type != "A":
         raise RepCharError("the thinness check applies to type A only")
     char = fundamental_qt_character(c, i, r)
-    bad = [
-        k for k, coeff in char.value.terms.items() if coeff != {0: 1}
-    ]
+    dense = char.value.dense
+    bad = sum(coeff != {0: 1} for coeff in dense.values())
+    label = f"thin A{c.rank} ({i},{r})"
     if bad:
-        return (
-            f"thin A{c.rank} ({i},{r})",
-            False,
-            f"{len(bad)} monomials with nontrivial coefficients",
-        )
-    return (f"thin A{c.rank} ({i},{r})", True, f"{len(char.value.terms)} monomials")
+        return (label, False, f"{bad} monomials with nontrivial coefficients")
+    return (label, True, f"{len(dense)} monomials")

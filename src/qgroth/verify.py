@@ -277,7 +277,7 @@ def crit_7_type_a_theorem() -> Verdict:
         c = build_cartan("A", rank)
         for i, r in type_a_origins(c):
             char = fundamental_qt_character(c, i, r)
-            if any(coeff != {0: 1} for coeff in char.value.terms.values()):
+            if any(coeff != {0: 1} for coeff in char.value.dense.values()):
                 return _verdict(
                     "type A theorem", False, f"A{rank} ({i},{r}) not thin"
                 )
@@ -397,7 +397,7 @@ def crit_10_properties() -> Verdict:
         return _verdict("property suites", False, "quantum involution")
     final = mutate_along(seed0, SL3_PATH)
     for v, el in final.vars.items():
-        for coeff in el.terms.values():
+        for coeff in el.dense.values():
             if any(n <= 0 for n in coeff.values()):
                 return _verdict("property suites", False, f"positivity at {v}")
             parities = {k % 2 for k in coeff}

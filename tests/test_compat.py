@@ -5,6 +5,7 @@ import pytest
 
 from qgroth.cartan import build_cartan
 from qgroth.compat import build_lambda, check_compatible, mutate_lambda
+from qgroth.qcluster import initial_seed
 from qgroth.quiver import QuiverError, build_slice, e_matrix, mutate_matrix
 from qgroth.verify import COMPAT_SWEEP_TYPES, D4_LAMBDA_GOLDEN
 
@@ -69,6 +70,15 @@ class TestCheckCompatible:
         assert not rep.ok
         assert rep.violations
         assert "FAIL" in str(rep)
+
+    def test_no_exchangeable_vertex_is_vacuously_compatible(self):
+        # a 4-level window freezes every level: B has no columns
+        c = build_cartan("A", 2)
+        slc = build_slice(c, window=(0, 3))
+        assert not slc.exchangeable
+        rep = check_compatible(slc.b_matrix, build_lambda(c, slc), slc.exch_rows)
+        assert rep.ok and rep.diag == () and str(rep) == "PASS diagonal=[]"
+        assert initial_seed(c, slc).vars.keys() == set(slc.vertices)
 
     def test_shape_mismatch(self):
         c = build_cartan("A", 1)

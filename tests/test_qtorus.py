@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgroth import repchar
 from qgroth.cartan import build_cartan, skew_form
 from qgroth.cli import _json_chunks
 from qgroth.qcluster import initial_seed
@@ -332,6 +333,26 @@ class TestRendering:
         y.to_text(), y.to_text(1), list(y.sorted_terms())
         "".join(_json_chunks({"terms": y}))
         assert y._terms is None
+
+    def test_engine_reads_build_no_terms_view(self, a1, monkeypatch):
+        x = monomial(a1, {(1, 2): 1, (1, 0): -1}) + monomial(a1, {(1, -2): 1}, {-1: 2})
+        y = x * x
+        # at t=1, (a + 2b)^2 = a^2 + 4ab + 4b^2
+        assert evaluate_t1(y) == {
+            make_key({(1, 2): 2, (1, 0): -2}): 1,
+            make_key({(1, 2): 1, (1, 0): -1, (1, -2): 1}): 4,
+            make_key({(1, -2): 2}): 4,
+        }
+        values, character = [], repchar.fundamental_qt_character
+
+        def spy(*args):
+            char = character(*args)
+            values.append(char.value)
+            return char
+
+        monkeypatch.setattr(repchar, "fundamental_qt_character", spy)
+        assert repchar.thinness_flatten_check(build_cartan("A", 3), 2, 1)[1]
+        assert values and all(el._terms is None for el in [y, *values])
 
 
 class TestConstructor:
