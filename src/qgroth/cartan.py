@@ -62,7 +62,7 @@ def _edges(type_label: str, rank: int) -> set[frozenset[int]]:
     return edges
 
 
-@dataclass
+@dataclass(eq=False)
 class CartanData:
     """Cartan matrix, Dynkin graph and quantum-Cartan coefficient cache.
 

@@ -233,9 +233,9 @@ def cmd_mutate(args) -> int:
     if vertex not in slc.index:
         raise UsageError(f"vertex {vertex} is not in this slice")
     if args.t1:
-        value = classical_mutate_along(c, slc, path)[vertex]
+        value = classical_mutate_along(slc, path)[vertex]
     else:
-        value = mutate_along(initial_seed(c, slc), path).vars[vertex]
+        value = mutate_along(initial_seed(slc), path).vars[vertex]
     _emit_value(args, {"vertex": list(vertex)}, value)
     return 0
 
@@ -256,8 +256,7 @@ def cmd_sequence(args) -> int:
 
 def cmd_fund_char(args) -> int:
     c = _cartan_of(args)
-    window = _parse_window(args.window) if args.window else None
-    char = fundamental_qt_character(c, args.i, args.r, window=window)
+    char = fundamental_qt_character(c, args.i, args.r)
     head = {"origin": list(char.origin), "read_at": list(char.vertex_read)}
     _emit_value(args, head, evaluate_t1(char.value) if args.t1 else char.value)
     return 0
@@ -282,8 +281,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_baxter(args) -> int:
-    c = build_cartan("A", 1)
-    v = baxter_check(c, args.r)
+    v = baxter_check(args.r)
     obj = {
         "r": v.r,
         "ok": v.ok,
@@ -383,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_type_rank(p)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--window", default=None)
     p.add_argument("--t1", action="store_true")
 
     p = mk("oracle", cmd_oracle, "classical q-character oracle")

@@ -69,7 +69,7 @@ class TermBudgetExceeded(MutationError):
         self.budget = TERM_BUDGET
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumSeed:
     slice: QuiverSlice
     vars: dict[Vertex, TorusElement]
@@ -103,16 +103,16 @@ class QuantumSeed:
                 )
 
 
-def initial_seed(c: CartanData, slc: QuiverSlice) -> QuantumSeed:
+def initial_seed(slc: QuiverSlice) -> QuantumSeed:
     """Seed whose variable at (i,r) is the single monomial z[i,r], all in
     one frame on the slice vertices whose skew form is the seed's Lambda."""
-    lam = build_lambda(c, slc)
+    lam = build_lambda(slc.cartan, slc)
     report = check_compatible(slc.b_matrix, lam, slc.exch_rows)
     if not report.ok:
         raise MutationError(f"initial pair not compatible: {report}")
     return QuantumSeed(
         slice=slc,
-        vars=frame_variables(c, slc.vertices),
+        vars=frame_variables(slc.cartan, slc.vertices),
         b_current=slc.b_matrix,
         lambda_current=lam,
         history=(),
@@ -227,12 +227,10 @@ def cp_exact_div(a: TorusElement, d: TorusElement) -> TorusElement:
     try:
         return exact_left_divide(a, d)
     except TorusError as exc:
-        raise MutationError(f"classical {exc}") from exc
+        raise MutationError(str(exc)) from exc
 
 
-def classical_mutate_along(
-    c: CartanData, slc: QuiverSlice, path
-) -> dict[Vertex, dict[ExpKey, int]]:
+def classical_mutate_along(slc: QuiverSlice, path) -> dict[Vertex, dict[ExpKey, int]]:
     """Run the commutative exchange relation along a path; the t=1 oracle.
 
     The variables are TorusElements with no Cartan data, all in one

@@ -26,7 +26,7 @@ class QuiverError(ValueError):
     """Invalid slice window or mutation direction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuiverSlice:
     """A finite window of the infinite quiver.
 

@@ -210,14 +210,14 @@ def crit_4_sl3_classical() -> Verdict:
     slc = build_slice(c, window=(-1, 6))
     # classical engine, step by step
     for (step, vertex), monos in sorted(SL3_GOLDEN.items()):
-        got = classical_mutate_along(c, slc, SL3_PATH[:step])[vertex]
+        got = classical_mutate_along(slc, SL3_PATH[:step])[vertex]
         want = {make_key(m): 1 for m in monos}
         if got != want:
             return _verdict(
                 "sl3 classical mutation", False, f"step {step} vertex {vertex}"
             )
     # quantum engine specializes to the same values
-    seed = initial_seed(c, slc)
+    seed = initial_seed(slc)
     for step, k in enumerate(SL3_PATH, start=1):
         seed = mutate(seed, k)
         for (s, vertex), monos in SL3_GOLDEN.items():
@@ -236,7 +236,7 @@ def crit_4_sl3_classical() -> Verdict:
 
 def crit_5_sl2_quantum() -> Verdict:
     c = build_cartan("A", 1)
-    seed = mutate(initial_seed(c, build_slice(c, N=1)), (1, 0))
+    seed = mutate(initial_seed(build_slice(c, N=1)), (1, 0))
     var = seed.vars[(1, 0)]
     want = TorusElement.monomial(c, {(1, -2): 1, (1, 0): -1}) + (
         TorusElement.monomial(c, {(1, 2): 1, (1, 0): -1})
@@ -295,12 +295,11 @@ def crit_7_type_a_theorem() -> Verdict:
 def crit_8_baxter() -> Verdict:
     c = build_cartan("A", 1)
     for r in (-1, 0, 1):
-        v = baxter_check(c, r)
+        v = baxter_check(r)
         if not v.ok:
             return _verdict("quantized Baxter", False, str(v))
     # t=1 image at r=0 is the classical exchange at (1,0)
-    slc = build_slice(c, N=1)
-    classical = classical_mutate_along(c, slc, [(1, 0)])[(1, 0)]
+    classical = classical_mutate_along(build_slice(c, N=1), [(1, 0)])[(1, 0)]
     want = {
         make_key({(1, -2): 1, (1, 0): -1}): 1,
         make_key({(1, 2): 1, (1, 0): -1}): 1,
@@ -391,7 +390,7 @@ def crit_10_properties() -> Verdict:
     # quantum mutation involution plus positivity/parity of coefficients
     c2 = build_cartan("A", 2)
     slc2 = build_slice(c2, window=(-1, 6))
-    seed0 = initial_seed(c2, slc2)
+    seed0 = initial_seed(slc2)
     back = mutate_along(seed0, SL3_PATH[:4] + SL3_PATH[:4][::-1])
     if back.vars != seed0.vars:
         return _verdict("property suites", False, "quantum involution")

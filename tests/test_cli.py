@@ -55,6 +55,14 @@ class TestFundChar:
         assert code == 2
         assert "error" in err
 
+    def test_window_is_not_an_option(self, capsys):
+        # the sequence fixes its slice; fund-char takes no window
+        with pytest.raises(SystemExit) as info:
+            main(["fund-char", "--type", "A", "--rank", "2", "--i", "1", "--r", "0",
+                  "--window", "-5:10"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --window=-5:10" in capsys.readouterr().err
+
 
 class TestCompat:
     def test_d4_window(self, capsys):
@@ -100,6 +108,49 @@ class TestMutate:
         )
         assert code == 0
         assert out.strip() == "z[1,2]z[1,0]^-1 + z[1,0]^-1z[1,-2]"
+
+    def test_sl2_t1_json(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["mutate", "--type", "A", "--rank", "1", "--N", "1", "--path", "(1,0)",
+             "--t1", "--json"],
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "schema": 1,
+            "vertex": [1, 0],
+            "t1": True,
+            "terms": [
+                {"c": 1, "exp": [[1, 0, -1], [1, -2, 1]]},
+                {"c": 1, "exp": [[1, 2, 1], [1, 0, -1]]},
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--N", "1", "--path", "(1,x)"], "cannot parse vertex '(1,x)'"),
+            (["--N", "1", "--path", "(1,2)", "--vertex", "(1)"], "cannot parse vertex '(1)'"),
+            (["--window", "0-5", "--path", "(1,2)"], "cannot parse window '0-5'"),
+        ],
+        ids=["path", "vertex", "window"],
+    )
+    def test_malformed_argument_usage_error(self, capsys, extra, message):
+        code, out, err = run(capsys, ["mutate", "--type", "A", "--rank", "2", *extra])
+        assert code == 2
+        assert not out
+        assert message in err
+
+    @pytest.mark.parametrize("engine", [[], ["--t1"]], ids=["quantum", "t1"])
+    def test_failed_division_exits_1(self, capsys, monkeypatch, engine):
+        # a doubled divisor makes the exchange division non-exact
+        real = qcluster.exact_left_divide
+        monkeypatch.setattr(qcluster, "exact_left_divide", lambda a, d: real(a, d.scaled(2)))
+        argv = ["mutate", "--type", "A", "--rank", "1", "--N", "1", "--path", "(1,0)", *engine]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert not out
+        assert err.startswith("computation failed: ") and "non-exact division" in err
 
     def test_frozen_vertex_fails(self, capsys):
         code, _, err = run(
@@ -308,7 +359,7 @@ def ref_to_json_obj(x):
 
 
 VALUE_SEEDS = {
-    label: initial_seed(c, build_slice(c, window=(-6, 6)))
+    label: initial_seed(build_slice(c, window=(-6, 6)))
     for label, c in (("A3", build_cartan("A", 3)), ("D4", build_cartan("D", 4)))
 }
 

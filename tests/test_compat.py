@@ -78,7 +78,7 @@ class TestCheckCompatible:
         assert not slc.exchangeable
         rep = check_compatible(slc.b_matrix, build_lambda(c, slc), slc.exch_rows)
         assert rep.ok and rep.diag == () and str(rep) == "PASS diagonal=[]"
-        assert initial_seed(c, slc).vars.keys() == set(slc.vertices)
+        assert initial_seed(slc).vars.keys() == set(slc.vertices)
 
     def test_shape_mismatch(self):
         c = build_cartan("A", 1)

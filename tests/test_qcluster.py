@@ -54,12 +54,13 @@ def a2():
 
 class TestInitialSeed:
     def test_vars_are_monomials(self, a1):
-        seed = initial_seed(a1, build_slice(a1, N=1))
+        seed = initial_seed(build_slice(a1, N=1))
         for v, el in seed.vars.items():
             assert el == TorusElement.monomial(a1, {v: 1})
+            assert el.cartan is seed.cartan
 
     def test_compatible_at_construction(self, a2):
-        seed = initial_seed(a2, build_slice(a2, N=1))
+        seed = initial_seed(build_slice(a2, N=1))
         rep = check_compatible(
             seed.b_current, seed.lambda_current, seed.slice.exch_rows
         )
@@ -67,16 +68,46 @@ class TestInitialSeed:
 
     def test_d4_window(self):
         c = build_cartan("D", 4)
-        seed = initial_seed(c, build_slice(c, window=(-5, 2)))
+        seed = initial_seed(build_slice(c, window=(-5, 2)))
         assert len(seed.vars) == 16
 
     def test_commutation_invariant(self, a1):
-        initial_seed(a1, build_slice(a1, N=1)).check_commutation()
+        initial_seed(build_slice(a1, N=1)).check_commutation()
+
+    def test_commutation_drift_detected(self, a1):
+        seed = initial_seed(build_slice(a1, N=1))
+        z = seed.vars[(1, 0)]
+        drifted = dataclasses.replace(seed, vars={**seed.vars, (1, 0): z + z * z})
+        with pytest.raises(MutationError, match="commutation drift between"):
+            drifted.check_commutation()
+
+    def test_incompatible_pair_rejected(self, a2):
+        slc = build_slice(a2, N=1)
+        b = slc.b_matrix.copy()
+        b[0, 0] += 1
+        with pytest.raises(MutationError, match="initial pair not compatible"):
+            initial_seed(dataclasses.replace(slc, b_matrix=b))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_cartan("A", 2),
+            lambda: build_slice(build_cartan("A", 2), N=1),
+            lambda: initial_seed(build_slice(build_cartan("A", 2), N=1)),
+        ],
+        ids=["cartan", "slice", "seed"],
+    )
+    def test_equality_is_identity(self, make):
+        # numpy fields make field-wise equality ambiguous, so equal-looking
+        # instances compare unequal and hash by identity
+        x, y = make(), make()
+        assert x == x and x != y
+        assert len({x, x, y}) == 2
 
 
 class TestQuantumMutate:
     def test_sl2_variable(self, a1):
-        seed = mutate(initial_seed(a1, build_slice(a1, N=1)), (1, 0))
+        seed = mutate(initial_seed(build_slice(a1, N=1)), (1, 0))
         want = TorusElement.monomial(a1, {(1, -2): 1, (1, 0): -1}) + (
             TorusElement.monomial(a1, {(1, 2): 1, (1, 0): -1})
         )
@@ -84,56 +115,56 @@ class TestQuantumMutate:
 
     def test_involution(self, a2):
         slc = build_slice(a2, window=(-1, 6))
-        seed0 = initial_seed(a2, slc)
+        seed0 = initial_seed(slc)
         seed2 = mutate(mutate(seed0, (1, 2)), (1, 2))
         assert seed2.vars == seed0.vars
         assert np.array_equal(seed2.b_current, seed0.b_current)
         assert np.array_equal(seed2.lambda_current, seed0.lambda_current)
 
     def test_frozen_rejected(self, a1):
-        seed = initial_seed(a1, build_slice(a1, N=1))
+        seed = initial_seed(build_slice(a1, N=1))
         with pytest.raises(QuiverError):
             mutate(seed, (1, 2))
 
     def test_bar_invariance_along_sl3(self, a2):
-        seed = initial_seed(a2, build_slice(a2, window=(-1, 6)))
+        seed = initial_seed(build_slice(a2, window=(-1, 6)))
         for k in SL3_PATH:
             seed = mutate(seed, k)
             assert seed.vars[k].bar() == seed.vars[k]
 
     def test_commutation_tracked(self, a2):
         seed = mutate_along(
-            initial_seed(a2, build_slice(a2, window=(-1, 6))), SL3_PATH[:3]
+            initial_seed(build_slice(a2, window=(-1, 6))), SL3_PATH[:3]
         )
         seed.check_commutation()
 
     def test_t1_specialization_matches_classical(self, a2):
         slc = build_slice(a2, window=(-1, 6))
-        quantum = mutate_along(initial_seed(a2, slc), SL3_PATH)
-        classical = classical_mutate_along(a2, slc, SL3_PATH)
+        quantum = mutate_along(initial_seed(slc), SL3_PATH)
+        classical = classical_mutate_along(slc, SL3_PATH)
         for v in slc.vertices:
             assert evaluate_t1(quantum.vars[v]) == classical[v]
 
     def test_positivity_and_parity(self, a2):
-        seed = mutate_along(initial_seed(a2, build_slice(a2, window=(-1, 6))), SL3_PATH)
+        seed = mutate_along(initial_seed(build_slice(a2, window=(-1, 6))), SL3_PATH)
         for el in seed.vars.values():
             for coeff in el.terms.values():
                 assert all(n > 0 for n in coeff.values())
                 assert len({k % 2 for k in coeff}) == 1
 
     def test_history(self, a2):
-        seed = mutate_along(initial_seed(a2, build_slice(a2, window=(-1, 6))), SL3_PATH)
+        seed = mutate_along(initial_seed(build_slice(a2, window=(-1, 6))), SL3_PATH)
         assert seed.history == tuple(SL3_PATH)
 
     def test_empty_path_identity(self, a1):
-        seed0 = initial_seed(a1, build_slice(a1, N=1))
+        seed0 = initial_seed(build_slice(a1, N=1))
         assert mutate_along(seed0, []).vars == seed0.vars
 
 
 class TestClassicalEngine:
     def test_sl2_baxter_exchange(self, a1):
         slc = build_slice(a1, N=1)
-        got = classical_mutate_along(a1, slc, [(1, 0)])[(1, 0)]
+        got = classical_mutate_along(slc, [(1, 0)])[(1, 0)]
         assert got == {
             make_key({(1, -2): 1, (1, 0): -1}): 1,
             make_key({(1, 2): 1, (1, 0): -1}): 1,
@@ -142,13 +173,13 @@ class TestClassicalEngine:
     def test_sl3_printed_variables(self, a2):
         slc = build_slice(a2, window=(-1, 6))
         for (step, vertex), monos in SL3_GOLDEN.items():
-            got = classical_mutate_along(a2, slc, SL3_PATH[:step])[vertex]
+            got = classical_mutate_along(slc, SL3_PATH[:step])[vertex]
             assert got == {make_key(m): 1 for m in monos}, (step, vertex)
 
     def test_involution(self, a2):
         slc = build_slice(a2, window=(-1, 6))
-        base = classical_mutate_along(a2, slc, [])
-        assert classical_mutate_along(a2, slc, [(1, 2), (1, 2)]) == base
+        base = classical_mutate_along(slc, [])
+        assert classical_mutate_along(slc, [(1, 2), (1, 2)]) == base
 
     def test_cp_division(self):
         a = cmono({(1, 0): 1}, 2)
@@ -161,7 +192,7 @@ class TestClassicalEngine:
 
 class TestMutationFailures:
     def test_quantum_failure_names_vertex_path_and_sizes(self, a2):
-        seed = mutate(initial_seed(a2, build_slice(a2, window=(-1, 6))), SL3_PATH[0])
+        seed = mutate(initial_seed(build_slice(a2, window=(-1, 6))), SL3_PATH[0])
         k = SL3_PATH[1]
         # doubling the old variable makes the exchange division non-exact
         vars_ = {**seed.vars, k: seed.vars[k].scaled(2)}
@@ -191,9 +222,25 @@ class TestMutationFailures:
         monkeypatch.setattr(qcluster, "cp_exact_div", doubled_divisor_after_first)
         slc = build_slice(a2, window=(-1, 6))
         with pytest.raises(MutationError) as info:
-            classical_mutate_along(a2, slc, SL3_PATH)
+            classical_mutate_along(slc, SL3_PATH)
         assert info.value.vertex == SL3_PATH[1]
         assert info.value.path == (SL3_PATH[0],)
+        message = str(info.value)
+        assert message.startswith(
+            "classical mutation at (1, 2) after path [(1, 4)]: non-exact division "
+            "(non-exact coefficient) of a 3-term numerator by a 1-term divisor, remainder "
+        )
+        assert message.count("classical") == 1
+
+    def test_non_bar_invariant_variable_rejected(self, a2):
+        seed = initial_seed(build_slice(a2, window=(-1, 6)))
+        k = SL3_PATH[0]
+        # the old variable times t^{1/2}: the division is exact, its quotient
+        # is t^{-1/2} times a bar-invariant variable
+        broken = dataclasses.replace(seed, vars={**seed.vars, k: seed.vars[k].scaled({1: 1})})
+        with pytest.raises(MutationError, match="is not bar-invariant") as info:
+            mutate(broken, k)
+        assert info.value.vertex == k and info.value.path == ()
 
 
     def test_long_remainder_message_is_short(self):
@@ -201,7 +248,7 @@ class TestMutationFailures:
         c = build_cartan("D", 4)
         path = mutation_sequence(c, 1, 0).sequence
         slc = build_slice(c, window=default_window(c, 1, 0))
-        seed = mutate_along(initial_seed(c, slc), path[:19])
+        seed = mutate_along(initial_seed(slc), path[:19])
         k = path[19]
         num = _exchange_sum(seed, k, slc.column_of(k))
         with pytest.raises(NonExactDivision) as info:
@@ -224,18 +271,18 @@ class TestTermBudget:
     @pytest.fixture(scope="class")
     def d4_path(self):
         c = build_cartan("D", 4)
-        return c, build_slice(c, window=default_window(c, 1, 0)), mutation_sequence(c, 1, 0).sequence
+        return build_slice(c, window=default_window(c, 1, 0)), mutation_sequence(c, 1, 0).sequence
 
     @pytest.mark.parametrize("budget, step, what", CASES)
     @pytest.mark.parametrize("engine", ["quantum", "classical"])
     def test_budget_names_vertex_path_and_sizes(self, d4_path, monkeypatch, engine, budget, step, what):
-        c, slc, path = d4_path
+        slc, path = d4_path
         monkeypatch.setattr(qcluster, "TERM_BUDGET", budget)
         with pytest.raises(TermBudgetExceeded) as info:
             if engine == "quantum":
-                mutate_along(initial_seed(c, slc), path)
+                mutate_along(initial_seed(slc), path)
             else:
-                classical_mutate_along(c, slc, path)
+                classical_mutate_along(slc, path)
         err = info.value
         assert isinstance(err, MutationError)
         assert err.vertex == path[step] and err.path == path[:step]
@@ -266,11 +313,11 @@ def ref_frame_monomial(seed, exps, shift):
 
 FRAME_MONOMIAL_SEEDS = {
     "A3": mutate_along(
-        initial_seed(build_cartan("A", 3), build_slice(build_cartan("A", 3), window=(-1, 8))),
+        initial_seed(build_slice(build_cartan("A", 3), window=(-1, 8))),
         [(1, 6), (1, 4), (2, 5), (3, 6)],
     ),
     "D4": mutate_along(
-        initial_seed(build_cartan("D", 4), build_slice(build_cartan("D", 4), window=(-1, 8))),
+        initial_seed(build_slice(build_cartan("D", 4), window=(-1, 8))),
         [(1, 6), (1, 4), (1, 2), (2, 5)],
     ),
 }

@@ -523,7 +523,7 @@ class TestDenseCoreAgainstReferences:
 # ------------------------------------------- elements kept dense in a seed frame
 
 SEED_FRAMES = {
-    label: initial_seed(c, build_slice(c, window=(-6, 6)))
+    label: initial_seed(build_slice(c, window=(-6, 6)))
     for label, (c, _verts) in REF_CARTANS.items()
 }
 
