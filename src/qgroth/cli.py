@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success/PASS, 1 a verification FAILed, 2 usage or domain error
-(a mutation past qcluster.TERM_BUDGET terms, or out of memory, counts as one).
+(a mutation past qtorus.TERM_BUDGET terms, or out of memory, counts as one).
 JSON output carries a top-level {"schema": 1} and is deterministic for a
 given invocation.
 """
@@ -18,14 +18,13 @@ from .cartan import CartanError, build_cartan, ctilde
 from .compat import build_lambda, check_compatible
 from .quiver import QuiverError, build_slice
 from .qcluster import (
-    TERM_BUDGET,
     MutationError,
     TermBudgetExceeded,
     classical_mutate_along,
     initial_seed,
     mutate_along,
 )
-from .qtorus import TorusElement, TorusError, evaluate_t1
+from .qtorus import TERM_BUDGET, TorusElement, TorusError, evaluate_t1
 from .repchar import (
     RepCharError,
     baxter_check,

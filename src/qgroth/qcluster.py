@@ -7,7 +7,8 @@ the signs of column k, normalizes each as a bar-invariant monomial of the
 current cluster, adds the two v-power unit factors dictated by the current
 skew form, and divides on the left by the old variable.  Exactness of that
 division is the Laurent phenomenon; failure is reported as a bug, never
-papered over.
+papered over.  A star product or sum past qtorus.TERM_BUDGET stops the
+mutation with TermBudgetExceeded, which names the vertex and the path.
 
 A classical (t=1) engine is included as an independent cross-check oracle.
 It runs its own commutative exchange relation on the same TorusElement with
@@ -17,6 +18,7 @@ no Cartan data, the untwisted ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .compat import build_lambda, check_compatible, mutate_lambda
 from .quiver import QuiverSlice, Vertex, mutate_matrix
 from .qtorus import (
     ExpKey,
+    TermBudgetError,
     TorusElement,
     TorusError,
     evaluate_t1,
@@ -48,25 +51,16 @@ class MutationError(ValueError):
         self.path = path
 
 
-# The most terms an exchange product, partial or whole, or the sum of the
-# two exchange monomials may have: a cap on one mutation's memory.  The
-# largest sum known to finish, D5 (2,1)'s, has 1 201 258 terms.
-TERM_BUDGET = 2_000_000
-
-
 class TermBudgetExceeded(MutationError):
-    """A mutation's exchange product or sum has more than TERM_BUDGET terms;
-    terms is its size and budget the cap it broke."""
+    """A star product or sum of a mutation grew past qtorus.TERM_BUDGET
+    terms; terms is its size when it stopped and budget the cap it broke."""
 
-    def __init__(self, what: str, terms: int, vertex: Vertex, path: tuple[Vertex, ...]):
+    def __init__(self, exc: TermBudgetError, vertex: Vertex, path: tuple[Vertex, ...]):
         super().__init__(
-            f"mutation at {vertex} after path {list(path)}: {what} has {terms} "
-            f"terms, more than the term budget of {TERM_BUDGET}",
-            vertex=vertex,
-            path=path,
+            f"mutation at {vertex} after path {list(path)}: {exc}", vertex=vertex, path=path
         )
-        self.terms = terms
-        self.budget = TERM_BUDGET
+        self.terms = exc.terms
+        self.budget = exc.budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,29 +113,9 @@ def initial_seed(slc: QuiverSlice) -> QuantumSeed:
     )
 
 
-def _within_budget(
-    el: TorusElement, what: str, k: Vertex, path: tuple[Vertex, ...]
-) -> TorusElement:
-    if len(el.dense) > TERM_BUDGET:
-        raise TermBudgetExceeded(what, len(el.dense), k, path)
-    return el
-
-
-def _product(
-    first: TorusElement, factors, k: Vertex, path: tuple[Vertex, ...]
-) -> TorusElement:
-    """first times factors in order, each partial product within TERM_BUDGET;
-    k and path name the mutation in the error."""
-    for f in factors:
-        first = _within_budget(first * f, "an exchange product", k, path)
-    return first
-
-
-def _frame_monomial(
-    seed: QuantumSeed, k: Vertex, exps: dict[int, int], shift: int
-) -> TorusElement:
+def _frame_monomial(seed: QuantumSeed, exps: dict[int, int], shift: int) -> TorusElement:
     """Bar-invariant monomial of the current cluster with row exponents exps,
-    times v^shift, for the mutation at k.
+    times v^shift.
 
     Computes v^{shift - sum_{u<w} a_u a_w Lambda_cur(u,w)} times the ordered
     star product of the current variables, rows ascending.  v is central, so
@@ -155,12 +129,12 @@ def _frame_monomial(
     factors = [seed.vars[verts[u]] for u in rows for _ in range(exps[u])]
     if not factors:
         return TorusElement.monomial(seed.cartan, {}, {shift: 1})
-    return _product(factors[0].scaled({shift: 1}), factors[1:], k, seed.history)
+    return prod(factors[1:], start=factors[0].scaled({shift: 1}))
 
 
-def _exchange_sum(seed: QuantumSeed, k: Vertex, col: int) -> TorusElement:
-    """The sum of the two exchange monomials of the mutation at k, whose
-    exchange column is col, each with its v-power unit factor."""
+def _exchange_sum(seed: QuantumSeed, col: int) -> TorusElement:
+    """The sum of the two exchange monomials of the mutation whose exchange
+    column is col, each with its v-power unit factor."""
     rk = seed.slice.exch_rows[col]
     bcol = seed.b_current[:, col]
     a_plus = {i: int(b) for i, b in enumerate(bcol) if b > 0}
@@ -170,13 +144,7 @@ def _exchange_sum(seed: QuantumSeed, k: Vertex, col: int) -> TorusElement:
     gamma_plus = sum(int(lam[rk, u]) * e for u, e in a_plus.items())
     gamma_minus = sum(int(lam[rk, u]) * e for u, e in a_minus.items())
 
-    return _within_budget(
-        _frame_monomial(seed, k, a_plus, gamma_plus)
-        + _frame_monomial(seed, k, a_minus, gamma_minus),
-        "the exchange sum",
-        k,
-        seed.history,
-    )
+    return _frame_monomial(seed, a_plus, gamma_plus) + _frame_monomial(seed, a_minus, gamma_minus)
 
 
 def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
@@ -185,7 +153,9 @@ def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
     try:
         # no local keeps the sum, often the largest value of the mutation,
         # alive through the bar check below
-        new_var = exact_left_divide(_exchange_sum(seed, k, col), seed.vars[k])
+        new_var = exact_left_divide(_exchange_sum(seed, col), seed.vars[k])
+    except TermBudgetError as exc:
+        raise TermBudgetExceeded(exc, k, seed.history) from exc
     except TorusError as exc:
         raise MutationError(
             f"Laurent-phenomenon violation mutating at {k} "
@@ -245,15 +215,14 @@ def classical_mutate_along(slc: QuiverSlice, path) -> dict[Vertex, dict[ExpKey, 
         col = slc.column_of(k)
         powers = [(vars_[verts[row]], int(e)) for row, e in enumerate(b[:, col]) if e]
         done = path[:step]
-        total = _within_budget(
-            _product(one, (x for x, e in powers for _ in range(e)), k, done)
-            + _product(one, (x for x, e in powers for _ in range(-e)), k, done),
-            "the exchange sum",
-            k,
-            done,
-        )
         try:
+            total = (
+                prod((x for x, e in powers for _ in range(e)), start=one)
+                + prod((x for x, e in powers for _ in range(-e)), start=one)
+            )
             vars_[k] = cp_exact_div(total, vars_[k])
+        except TermBudgetError as exc:
+            raise TermBudgetExceeded(exc, k, done) from exc
         except MutationError as exc:
             raise MutationError(
                 f"classical mutation at {k} after path {list(done)}: {exc}",

@@ -40,6 +40,10 @@ frame on their union.  By skew symmetry a product or a division reads only
 the twist rows of its right factor or divisor, built once per call.  The
 classical (t=1) engine uses the same TorusElement with no Cartan data: an
 untwisted frame, where the same product and division run at zero twist.
+
+TERM_BUDGET caps the memory of one operation.  A star product counts its
+terms as it grows, after each term of its left factor, and a sum counts its
+result; past the budget either raises TermBudgetError with the size.
 """
 
 from __future__ import annotations
@@ -58,6 +62,24 @@ ExpKey = tuple[tuple[Vertex, int], ...]  # ((i,r), e) factors in canonical order
 
 class TorusError(ValueError):
     pass
+
+
+# The most terms a star product, partial or whole, or a sum may have: a cap
+# on one operation's memory.  The largest exchange sum known to finish,
+# D5 (2,1)'s, has 1 201 258 terms.
+TERM_BUDGET = 2_000_000
+
+
+class TermBudgetError(TorusError):
+    """A star product or a sum grew past TERM_BUDGET terms: terms is its
+    size when it stopped and budget the cap."""
+
+    def __init__(self, what: str, terms: int):
+        super().__init__(
+            f"{what} has {terms} terms, more than the term budget of {TERM_BUDGET}"
+        )
+        self.terms = terms
+        self.budget = TERM_BUDGET
 
 
 class NonExactDivision(TorusError):
@@ -324,6 +346,8 @@ class TorusElement:
                 out[k] = total
             else:
                 del out[k]
+        if len(out) > TERM_BUDGET:
+            raise TermBudgetError("a sum", len(out))
         return TorusElement._of(x.frame, out)
 
     def __neg__(self) -> "TorusElement":
@@ -458,7 +482,8 @@ def _star(a: dict, b: dict, rows: dict) -> dict:
     """The star product a * b of dense terms in one frame, where rows maps
     each term f of b to its twist row (None: untwisted).  Lambda is skew, so
     each pair of terms costs one dot product, Lambda(e, f) = -twist(f) . e,
-    and one tuple sum."""
+    and one tuple sum.  The terms are counted after each term of a, so a
+    product past TERM_BUDGET stops at most len(b) terms beyond it."""
     right = [(f, cb, rows[f]) for f, cb in b.items()]
     out: dict[tuple[int, ...], TCoeff] = {}
     for e, ca in a.items():
@@ -468,6 +493,8 @@ def _star(a: dict, b: dict, rows: dict) -> dict:
             if target is None:
                 target = out[k] = {}
             _add_product(target, ca, cb, -sum(map(mul, row, e)) if row else 0)
+        if len(out) > TERM_BUDGET:
+            raise TermBudgetError("a star product", len(out))
     # Exchange products repeat a few coefficients over many terms, and no
     # coefficient dict is written once its element is built, so those with
     # equal items, in equal order, share one dict.  Cancelled terms are

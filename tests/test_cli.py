@@ -300,7 +300,7 @@ class TestVerifyAll:
 class TestTermBudget:
     @pytest.mark.parametrize("engine", [[], ["--t1"]], ids=["quantum", "t1"])
     def test_budget_is_a_domain_error(self, capsys, monkeypatch, engine):
-        monkeypatch.setattr(qcluster, "TERM_BUDGET", 3)
+        monkeypatch.setattr(qtorus, "TERM_BUDGET", 3)
         argv = ["mutate", "--type", "D", "--rank", "4", "--window", "-1:8",
                 "--path", "(1,6);(1,4);(1,2)", "--json", *engine]
         code, out, err = run(capsys, argv)
@@ -319,7 +319,7 @@ class TestTermBudget:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert not out
-        assert err == f"error: out of memory within the term budget of {qcluster.TERM_BUDGET} terms\n"
+        assert err == f"error: out of memory within the term budget of {qtorus.TERM_BUDGET} terms\n"
 
 
 # ------------------------------------------- printed values against a reference

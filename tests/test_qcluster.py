@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgroth import qcluster
+from qgroth import qcluster, qtorus
 from qgroth.cartan import build_cartan
 from qgroth.compat import check_compatible
 from qgroth.qcluster import (
@@ -250,7 +250,7 @@ class TestMutationFailures:
         slc = build_slice(c, window=default_window(c, 1, 0))
         seed = mutate_along(initial_seed(slc), path[:19])
         k = path[19]
-        num = _exchange_sum(seed, k, slc.column_of(k))
+        num = _exchange_sum(seed, slc.column_of(k))
         with pytest.raises(NonExactDivision) as info:
             exact_left_divide(num, seed.vars[k].scaled(2))
         err = info.value
@@ -265,19 +265,26 @@ class TestMutationFailures:
 
 class TestTermBudget:
     # along D4 (1,0), a budget of 2 first breaks on the 3-term exchange sum at
-    # step 1, and one of 200 on a 1774-term partial product at step 19
-    CASES = [(2, 1, "the exchange sum"), (200, 19, "an exchange product")]
+    # step 1, and one of 200 on a 1774-term partial exchange product at step
+    # 19, which stops part-way, at 242 terms; the ids name what breaks, the
+    # messages say which torus operation did
+    CASES = [
+        pytest.param(2, 1, "a sum", 3, id="2-1-the exchange sum"),
+        pytest.param(200, 19, "a star product", 242, id="200-19-an exchange product"),
+    ]
 
     @pytest.fixture(scope="class")
     def d4_path(self):
         c = build_cartan("D", 4)
         return build_slice(c, window=default_window(c, 1, 0)), mutation_sequence(c, 1, 0).sequence
 
-    @pytest.mark.parametrize("budget, step, what", CASES)
+    @pytest.mark.parametrize("budget, step, what, terms", CASES)
     @pytest.mark.parametrize("engine", ["quantum", "classical"])
-    def test_budget_names_vertex_path_and_sizes(self, d4_path, monkeypatch, engine, budget, step, what):
+    def test_budget_names_vertex_path_and_sizes(
+        self, d4_path, monkeypatch, engine, budget, step, what, terms
+    ):
         slc, path = d4_path
-        monkeypatch.setattr(qcluster, "TERM_BUDGET", budget)
+        monkeypatch.setattr(qtorus, "TERM_BUDGET", budget)
         with pytest.raises(TermBudgetExceeded) as info:
             if engine == "quantum":
                 mutate_along(initial_seed(slc), path)
@@ -286,14 +293,14 @@ class TestTermBudget:
         err = info.value
         assert isinstance(err, MutationError)
         assert err.vertex == path[step] and err.path == path[:step]
-        assert err.terms > err.budget == budget
+        assert (err.terms, err.budget) == (terms, budget)
         message = str(err)
         assert f"mutation at {path[step]} after path {list(path[:step])}: " in message
-        assert f"{what} has {err.terms} terms, more than the term budget of {budget}" in message
+        assert f"{what} has {terms} terms, more than the term budget of {budget}" in message
 
     def test_default_budget_holds_the_largest_known_sum(self):
         # D5 (2,1) divides a 1 201 258-term exchange sum
-        assert qcluster.TERM_BUDGET > 1_201_258
+        assert qtorus.TERM_BUDGET > 1_201_258
 
 
 def ref_frame_monomial(seed, exps, shift):
@@ -333,8 +340,7 @@ def test_frame_monomial_scales_the_first_factor(data, label, shift):
     seed = FRAME_MONOMIAL_SEEDS[label]
     rows = range(len(seed.slice.vertices))
     exps = data.draw(st.dictionaries(st.sampled_from(rows), st.integers(1, 2), max_size=4))
-    k = seed.slice.exchangeable[0]
-    got = _frame_monomial(seed, k, exps, shift)
+    got = _frame_monomial(seed, exps, shift)
     assert got == ref_frame_monomial(seed, exps, shift)
 
 

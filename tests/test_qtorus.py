@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgroth import repchar
+from qgroth import qtorus, repchar
 from qgroth.cartan import build_cartan, skew_form
 from qgroth.cli import _json_chunks
 from qgroth.qcluster import initial_seed
 from qgroth.quiver import build_slice
 from qgroth.qtorus import (
     NonExactDivision,
+    TermBudgetError,
     TorusElement,
     TorusError,
     a_monomial,
@@ -108,6 +109,42 @@ class TestProduct:
                 with pytest.raises(TorusError):
                     op(p, q)
         assert x != y and y != x
+
+
+class TestTermBudget:
+    # ten terms in each factor and none in common, so the product has 100
+    # distinct terms and the sum 20
+    @pytest.fixture
+    def factors(self, a2):
+        a = sum((monomial(a2, {(1, 0): x}) for x in range(10)), TorusElement.zero(a2))
+        b = sum((monomial(a2, {(2, 1): y}) for y in range(1, 11)), TorusElement.zero(a2))
+        return a, b
+
+    def test_product_stops_part_way(self, factors, monkeypatch):
+        a, b = factors
+        monkeypatch.setattr(qtorus, "TERM_BUDGET", 25)
+        with pytest.raises(TermBudgetError) as info:
+            a * b
+        err = info.value
+        # counted after each term of a: three rows of ten, not all 100 terms
+        assert err.terms == 30 and err.budget == 25
+        assert str(err) == "a star product has 30 terms, more than the term budget of 25"
+
+    def test_product_at_the_budget_passes(self, factors, monkeypatch):
+        a, b = factors
+        monkeypatch.setattr(qtorus, "TERM_BUDGET", 100)
+        assert len((a * b).dense) == 100
+
+    def test_sum_over_budget(self, factors, monkeypatch):
+        a, b = factors
+        monkeypatch.setattr(qtorus, "TERM_BUDGET", 19)
+        with pytest.raises(TermBudgetError) as info:
+            a + b
+        assert (info.value.terms, info.value.budget) == (20, 19)
+        assert str(info.value) == "a sum has 20 terms, more than the term budget of 19"
+        # a difference is a sum too
+        with pytest.raises(TermBudgetError):
+            a - b
 
 
 class TestBar:

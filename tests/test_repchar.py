@@ -96,6 +96,30 @@ class TestFundamentalCharacter:
         assert len(char.value.terms) == 8
 
 
+def shifted_terms(value, by):
+    """value's terms with every level moved up by `by`, coefficients kept.
+    A common shift keeps the reading order, so the keys stay canonical."""
+    return {tuple(((i, r + by), e) for (i, r), e in k): c for k, c in value.terms.items()}
+
+
+SHIFT_CASES = [("A", n, i) for n in (1, 2, 3) for i in range(1, n + 1)] + [
+    ("D", 4, i) for i in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("kind, rank, i", SHIFT_CASES)
+def test_spectral_shift_covariance(kind, rank, i):
+    # the character at (i, r + 2) is the one at (i, r), translated by 2
+    c = build_cartan(kind, rank)
+    r = next(r for r in (0, 1) if c.in_ihat(i, r))
+    base = fundamental_qt_character(c, i, r).value
+    moved = fundamental_qt_character(c, i, r + 2).value
+    assert dict(moved.terms) == shifted_terms(base, 2)
+    if (kind, i) == ("D", 2):
+        # a coefficient t + t^-1 (v-exponents 2 and -2) is translated as it is
+        assert {2: 1, -2: 1} in base.terms.values()
+
+
 class TestClassicalOracle:
     def test_a1(self, a1):
         chi = classical_fm_qchar(a1, 1, -2)
