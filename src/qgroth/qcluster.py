@@ -7,8 +7,10 @@ the signs of column k, normalizes each as a bar-invariant monomial of the
 current cluster, adds the two v-power unit factors dictated by the current
 skew form, and divides on the left by the old variable.  Exactness of that
 division is the Laurent phenomenon; failure is reported as a bug, never
-papered over.  A star product or sum past qtorus.TERM_BUDGET stops the
-mutation with TermBudgetExceeded, which names the vertex and the path.
+papered over.  Both engines locate a failed mutation in _located: a star
+product or sum past qtorus.TERM_BUDGET stops it with TermBudgetExceeded, and
+any other torus failure becomes a MutationError; both name the vertex and
+the path.
 
 A classical (t=1) engine is included as an independent cross-check oracle.
 It runs its own commutative exchange relation on the same TorusElement with
@@ -17,6 +19,7 @@ no Cartan data, the untwisted ring.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import prod
 
@@ -61,6 +64,20 @@ class TermBudgetExceeded(MutationError):
         )
         self.terms = exc.terms
         self.budget = exc.budget
+
+
+@contextmanager
+def _located(what: str, k: Vertex, path: tuple[Vertex, ...]):
+    """Turn a torus failure of the mutation at k after path into a mutation
+    error naming both; what starts the message of a non-budget failure."""
+    try:
+        yield
+    except TermBudgetError as exc:
+        raise TermBudgetExceeded(exc, k, path) from exc
+    except TorusError as exc:
+        raise MutationError(
+            f"{what} at {k} after path {list(path)}: {exc}", vertex=k, path=path
+        ) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,19 +167,10 @@ def _exchange_sum(seed: QuantumSeed, col: int) -> TorusElement:
 def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
     """One quantum exchange mutation in direction k."""
     col = seed.slice.column_of(k)
-    try:
+    with _located("Laurent-phenomenon violation mutating", k, seed.history):
         # no local keeps the sum, often the largest value of the mutation,
         # alive through the bar check below
         new_var = exact_left_divide(_exchange_sum(seed, col), seed.vars[k])
-    except TermBudgetError as exc:
-        raise TermBudgetExceeded(exc, k, seed.history) from exc
-    except TorusError as exc:
-        raise MutationError(
-            f"Laurent-phenomenon violation mutating at {k} "
-            f"after path {list(seed.history)}: {exc}",
-            vertex=k,
-            path=seed.history,
-        ) from exc
     if new_var.bar() != new_var:
         raise MutationError(
             f"mutated variable at {k} after path {list(seed.history)} "
@@ -193,11 +201,9 @@ def mutate_along(seed: QuantumSeed, path) -> QuantumSeed:
 # ------------------------------------------------------- classical (t=1) oracle
 
 def cp_exact_div(a: TorusElement, d: TorusElement) -> TorusElement:
-    """Exact division of untwisted (t=1) elements, failing with MutationError."""
-    try:
-        return exact_left_divide(a, d)
-    except TorusError as exc:
-        raise MutationError(str(exc)) from exc
+    """Exact division of untwisted (t=1) elements; a name of its own, so that
+    a trace times the classical engine's divisions apart from the quantum ones."""
+    return exact_left_divide(a, d)
 
 
 def classical_mutate_along(slc: QuiverSlice, path) -> dict[Vertex, dict[ExpKey, int]]:
@@ -214,20 +220,11 @@ def classical_mutate_along(slc: QuiverSlice, path) -> dict[Vertex, dict[ExpKey, 
     for step, k in enumerate(path):
         col = slc.column_of(k)
         powers = [(vars_[verts[row]], int(e)) for row, e in enumerate(b[:, col]) if e]
-        done = path[:step]
-        try:
+        with _located("classical mutation", k, path[:step]):
             total = (
                 prod((x for x, e in powers for _ in range(e)), start=one)
                 + prod((x for x, e in powers for _ in range(-e)), start=one)
             )
             vars_[k] = cp_exact_div(total, vars_[k])
-        except TermBudgetError as exc:
-            raise TermBudgetExceeded(exc, k, done) from exc
-        except MutationError as exc:
-            raise MutationError(
-                f"classical mutation at {k} after path {list(done)}: {exc}",
-                vertex=k,
-                path=done,
-            ) from exc
         b = mutate_matrix(b, slc.exch_rows, col)
     return {v: evaluate_t1(x) for v, x in vars_.items()}

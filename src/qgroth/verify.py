@@ -1,12 +1,15 @@
 """Acceptance battery: the ten end-to-end checks behind `qgroth verify-all`.
 
-Each check returns (name, ok, detail).  Golden data (printed matrices,
+Each check returns (name, ok, detail).  A criterion body returns its PASS
+detail and fails through _require at its first failed check; the criterion
+decorator names it and builds the verdict.  Golden data (printed matrices,
 series, cluster variables) lives here so the CLI and the test suite share a
 single source of truth.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -128,61 +131,74 @@ COMPAT_SWEEP_TYPES = [
 ]
 
 
-def _verdict(name: str, ok: bool, detail: str = "") -> Verdict:
-    return (name, ok, detail)
+class CriterionFailed(Exception):
+    """A criterion's check failed; the message is the verdict's detail."""
+
+
+def _require(ok: bool, detail: str) -> None:
+    if not ok:
+        raise CriterionFailed(detail)
+
+
+def criterion(name: str):
+    """Turn a criterion body, which returns its PASS detail and fails through
+    _require, into a check that returns the verdict (name, ok, detail)."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def check() -> Verdict:
+            try:
+                return (name, True, body())
+            except CriterionFailed as exc:
+                return (name, False, str(exc))
+
+        return check
+
+    return wrap
 
 
 # ------------------------------------------------------------- the criteria
 
-def crit_1_cartan_series() -> Verdict:
+@criterion("cartan series")
+def crit_1_cartan_series() -> str:
     a1 = build_cartan("A", 1)
     want_a1 = {1: 1, 3: -1, 5: 1, 7: -1, 9: 1, 11: -1}
     for m in range(12):
-        if ctilde(a1, 1, 1, m) != want_a1.get(m, 0):
-            return _verdict("cartan series", False, f"A1 degree {m}")
+        _require(ctilde(a1, 1, 1, m) == want_a1.get(m, 0), f"A1 degree {m}")
     a2 = build_cartan("A", 2)
     want_ii = {1: 1, 5: -1, 7: 1, 11: -1, 13: 1}
     want_ij = {2: 1, 4: -1, 8: 1, 10: -1, 14: 1}
     for m in range(15):
         for i in (1, 2):
-            if ctilde(a2, i, i, m) != want_ii.get(m, 0):
-                return _verdict("cartan series", False, f"A2 C[{i}{i}] degree {m}")
-        if ctilde(a2, 1, 2, m) != want_ij.get(m, 0):
-            return _verdict("cartan series", False, f"A2 C[12] degree {m}")
-        if ctilde(a2, 2, 1, m) != want_ij.get(m, 0):
-            return _verdict("cartan series", False, f"A2 C[21] degree {m}")
-    return _verdict("cartan series", True, "A1 through degree 11, A2 through 14")
+            _require(ctilde(a2, i, i, m) == want_ii.get(m, 0), f"A2 C[{i}{i}] degree {m}")
+        _require(ctilde(a2, 1, 2, m) == want_ij.get(m, 0), f"A2 C[12] degree {m}")
+        _require(ctilde(a2, 2, 1, m) == want_ij.get(m, 0), f"A2 C[21] degree {m}")
+    return "A1 through degree 11, A2 through 14"
 
 
-def crit_2_d4_golden() -> Verdict:
+@criterion("D4 golden matrices")
+def crit_2_d4_golden() -> str:
     c = build_cartan("D", 4)
     slc = build_slice(c, window=(-5, 2))
     lam = build_lambda(c, slc)
-    if not np.array_equal(slc.b_matrix, D4_B_GOLDEN):
-        return _verdict("D4 golden matrices", False, "exchange matrix mismatch")
-    if not np.array_equal(lam, D4_LAMBDA_GOLDEN):
-        return _verdict("D4 golden matrices", False, "skew form mismatch")
-    prod = slc.b_matrix.T @ lam
+    _require(np.array_equal(slc.b_matrix, D4_B_GOLDEN), "exchange matrix mismatch")
+    _require(np.array_equal(lam, D4_LAMBDA_GOLDEN), "skew form mismatch")
     want = np.zeros((8, 16), dtype=np.int64)
     for k, rk in enumerate(slc.exch_rows):
         want[k, rk] = -2
-    if not np.array_equal(prod, want):
-        return _verdict("D4 golden matrices", False, "B^T Lambda mismatch")
-    return _verdict("D4 golden matrices", True, "16x8 B, 16x16 Lambda, B^T L = -2 Id")
+    _require(np.array_equal(slc.b_matrix.T @ lam, want), "B^T Lambda mismatch")
+    return "16x8 B, 16x16 Lambda, B^T L = -2 Id"
 
 
-def crit_3_compat_sweep() -> Verdict:
+@criterion("compatibility sweep")
+def crit_3_compat_sweep() -> str:
     rng = random.Random(20230823)
     for label, rank in COMPAT_SWEEP_TYPES:
         c = build_cartan(label, rank)
         for n in (1, 2, 3):
             slc = build_slice(c, N=n)
-            lam = build_lambda(c, slc)
-            rep = check_compatible(slc.b_matrix, lam, slc.exch_rows)
-            if not (rep.ok and set(rep.diag) == {-2}):
-                return _verdict(
-                    "compatibility sweep", False, f"{label}{rank} N={n}: {rep}"
-                )
+            rep = check_compatible(slc.b_matrix, build_lambda(c, slc), slc.exch_rows)
+            _require(rep.ok and set(rep.diag) == {-2}, f"{label}{rank} N={n}: {rep}")
     # random mutation sequences preserve compatibility
     for trial in range(100):
         label, rank = rng.choice(COMPAT_SWEEP_TYPES)
@@ -196,69 +212,53 @@ def crit_3_compat_sweep() -> Verdict:
                 mutate_lambda(lam, b, slc.exch_rows, k),
             )
         rep = check_compatible(b, lam, slc.exch_rows)
-        if not rep.ok:
-            return _verdict(
-                "compatibility sweep", False, f"random trial {trial}: {rep}"
-            )
-    return _verdict(
-        "compatibility sweep", True, "8 types x N=1..3 diagonal -2; 100 random paths"
-    )
+        _require(rep.ok, f"random trial {trial}: {rep}")
+    return "8 types x N=1..3 diagonal -2; 100 random paths"
 
 
-def crit_4_sl3_classical() -> Verdict:
+@criterion("sl3 classical mutation")
+def crit_4_sl3_classical() -> str:
     c = build_cartan("A", 2)
     slc = build_slice(c, window=(-1, 6))
     # classical engine, step by step
     for (step, vertex), monos in sorted(SL3_GOLDEN.items()):
         got = classical_mutate_along(slc, SL3_PATH[:step])[vertex]
-        want = {make_key(m): 1 for m in monos}
-        if got != want:
-            return _verdict(
-                "sl3 classical mutation", False, f"step {step} vertex {vertex}"
-            )
+        _require(got == {make_key(m): 1 for m in monos}, f"step {step} vertex {vertex}")
     # quantum engine specializes to the same values
     seed = initial_seed(slc)
     for step, k in enumerate(SL3_PATH, start=1):
         seed = mutate(seed, k)
         for (s, vertex), monos in SL3_GOLDEN.items():
             if s == step:
-                want = {make_key(m): 1 for m in monos}
-                if evaluate_t1(seed.vars[vertex]) != want:
-                    return _verdict(
-                        "sl3 classical mutation",
-                        False,
-                        f"quantum t=1 mismatch at step {step} vertex {vertex}",
-                    )
-    return _verdict(
-        "sl3 classical mutation", True, "4 printed variables, classical and t=1"
-    )
+                _require(
+                    evaluate_t1(seed.vars[vertex]) == {make_key(m): 1 for m in monos},
+                    f"quantum t=1 mismatch at step {step} vertex {vertex}",
+                )
+    return "4 printed variables, classical and t=1"
 
 
-def crit_5_sl2_quantum() -> Verdict:
+@criterion("sl2 quantum mutation")
+def crit_5_sl2_quantum() -> str:
     c = build_cartan("A", 1)
     seed = mutate(initial_seed(build_slice(c, N=1)), (1, 0))
     var = seed.vars[(1, 0)]
     want = TorusElement.monomial(c, {(1, -2): 1, (1, 0): -1}) + (
         TorusElement.monomial(c, {(1, 2): 1, (1, 0): -1})
     )
-    if var != want:
-        return _verdict("sl2 quantum mutation", False, f"got {var.to_text()}")
-    if var.bar() != var:
-        return _verdict("sl2 quantum mutation", False, "not bar-invariant")
+    _require(var == want, f"got {var.to_text()}")
+    _require(var.bar() == var, "not bar-invariant")
     via_y = embed_Y(c, {(1, -2): 1}) + embed_Y(c, {(1, 0): -1})
-    if var != via_y:
-        return _verdict("sl2 quantum mutation", False, "Y-embedding mismatch")
-    return _verdict("sl2 quantum mutation", True, var.to_text())
+    _require(var == via_y, "Y-embedding mismatch")
+    return var.to_text()
 
 
-def crit_6_sequences() -> Verdict:
+@criterion("mutation sequences")
+def crit_6_sequences() -> str:
     a2 = mutation_sequence(build_cartan("A", 2), 1, 0)
-    if list(a2.sequence) != A2_SEQUENCE_GOLDEN:
-        return _verdict("mutation sequences", False, f"A2: {a2.sequence}")
+    _require(list(a2.sequence) == A2_SEQUENCE_GOLDEN, f"A2: {a2.sequence}")
     d4 = mutation_sequence(build_cartan("D", 4), 1, 0)
-    if list(d4.sequence) != D4_SEQUENCE_GOLDEN:
-        return _verdict("mutation sequences", False, f"D4: {d4.sequence}")
-    return _verdict("mutation sequences", True, "A2 (5 vertices), D4 (21 vertices)")
+    _require(list(d4.sequence) == D4_SEQUENCE_GOLDEN, f"D4: {d4.sequence}")
+    return "A2 (5 vertices), D4 (21 vertices)"
 
 
 def type_a_origins(c: CartanData) -> list[tuple[int, int]]:
@@ -272,55 +272,45 @@ def type_a_origins(c: CartanData) -> list[tuple[int, int]]:
     return out
 
 
-def crit_7_type_a_theorem() -> Verdict:
+@criterion("type A theorem")
+def crit_7_type_a_theorem() -> str:
     for rank in (1, 2, 3, 4):
         c = build_cartan("A", rank)
         for i, r in type_a_origins(c):
-            char = fundamental_qt_character(c, i, r)
-            if any(coeff != {0: 1} for coeff in char.value.dense.values()):
-                return _verdict(
-                    "type A theorem", False, f"A{rank} ({i},{r}) not thin"
-                )
-            if char.value.bar() != char.value:
-                return _verdict(
-                    "type A theorem", False, f"A{rank} ({i},{r}) not bar-invariant"
-                )
-            if evaluate_t1(char.value) != fm_qchar_embedded(c, i, r):
-                return _verdict(
-                    "type A theorem", False, f"A{rank} ({i},{r}) oracle mismatch"
-                )
-    return _verdict("type A theorem", True, "A1..A4, all nodes, two levels each")
+            value = fundamental_qt_character(c, i, r).value
+            where = f"A{rank} ({i},{r})"
+            _require(all(coeff == {0: 1} for coeff in value.dense.values()), f"{where} not thin")
+            _require(value.bar() == value, f"{where} not bar-invariant")
+            _require(evaluate_t1(value) == fm_qchar_embedded(c, i, r), f"{where} oracle mismatch")
+    return "A1..A4, all nodes, two levels each"
 
 
-def crit_8_baxter() -> Verdict:
+@criterion("quantized Baxter")
+def crit_8_baxter() -> str:
     c = build_cartan("A", 1)
     for r in (-1, 0, 1):
         v = baxter_check(r)
-        if not v.ok:
-            return _verdict("quantized Baxter", False, str(v))
+        _require(v.ok, str(v))
     # t=1 image at r=0 is the classical exchange at (1,0)
     classical = classical_mutate_along(build_slice(c, N=1), [(1, 0)])[(1, 0)]
     want = {
         make_key({(1, -2): 1, (1, 0): -1}): 1,
         make_key({(1, 2): 1, (1, 0): -1}): 1,
     }
-    if classical != want:
-        return _verdict("quantized Baxter", False, "classical image mismatch")
-    return _verdict("quantized Baxter", True, "r in {-1,0,1} plus classical image")
+    _require(classical == want, "classical image mismatch")
+    return "r in {-1,0,1} plus classical image"
 
 
-def crit_9_drinfeld() -> Verdict:
-    good = drinfeld_double_check(q_sign=-1)
-    if not all(ok for _, ok, _ in good):
-        bad = [name for name, ok, _ in good if not ok]
-        return _verdict("Drinfeld double", False, f"failed: {bad}")
-    flipped = drinfeld_double_check(q_sign=1)
-    failures = [name for name, ok, _ in flipped if not ok]
-    if failures != ["[E,F] = (q - q^-1)(K - K')"]:
-        return _verdict(
-            "Drinfeld double", False, f"q=+t^(1/2) falsification wrong: {failures}"
-        )
-    return _verdict("Drinfeld double", True, "7 relations; sign falsification fails")
+@criterion("Drinfeld double")
+def crit_9_drinfeld() -> str:
+    bad = [name for name, ok, _ in drinfeld_double_check(q_sign=-1) if not ok]
+    _require(not bad, f"failed: {bad}")
+    failures = [name for name, ok, _ in drinfeld_double_check(q_sign=1) if not ok]
+    _require(
+        failures == ["[E,F] = (q - q^-1)(K - K')"],
+        f"q=+t^(1/2) falsification wrong: {failures}",
+    )
+    return "7 relations; sign falsification fails"
 
 
 def _random_element(rng, c, verts) -> TorusElement:
@@ -332,7 +322,8 @@ def _random_element(rng, c, verts) -> TorusElement:
     return out
 
 
-def crit_10_properties() -> Verdict:
+@criterion("property suites")
+def crit_10_properties() -> str:
     rng = random.Random(20230823)
     # telescoping identity for all gaps <= 40
     for label, rank in COMPAT_SWEEP_TYPES:
@@ -343,12 +334,10 @@ def crit_10_properties() -> Verdict:
                     lhs = 2 * f_form(c, i, j, m) - f_form(c, i, j, m + 2) - f_form(
                         c, i, j, m - 2
                     )
-                    if lhs != n_form(c, i, j, m):
-                        return _verdict(
-                            "property suites",
-                            False,
-                            f"telescoping fails {label}{rank} ({i},{j},{m})",
-                        )
+                    _require(
+                        lhs == n_form(c, i, j, m),
+                        f"telescoping fails {label}{rank} ({i},{j},{m})",
+                    )
     c = build_cartan("A", 3)
     verts = [(i, r) for i in c.nodes for r in range(-6, 7) if c.in_ihat(i, r)]
     one = TorusElement.one(c)
@@ -356,22 +345,15 @@ def crit_10_properties() -> Verdict:
         a = _random_element(rng, c, verts)
         b = _random_element(rng, c, verts)
         d = _random_element(rng, c, verts)
-        if (a * b) * d != a * (b * d):
-            return _verdict("property suites", False, f"associativity trial {trial}")
-        if a * one != a or one * a != a:
-            return _verdict("property suites", False, f"unit trial {trial}")
-        if (a * b).bar() != b.bar() * a.bar():
-            return _verdict("property suites", False, f"bar trial {trial}")
+        _require((a * b) * d == a * (b * d), f"associativity trial {trial}")
+        _require(a * one == a and one * a == a, f"unit trial {trial}")
+        _require((a * b).bar() == b.bar() * a.bar(), f"bar trial {trial}")
         if d:
             try:
-                if exact_left_divide(d * a, d) != a:
-                    return _verdict(
-                        "property suites", False, f"division round-trip {trial}"
-                    )
+                quotient = exact_left_divide(d * a, d)
             except Exception as exc:  # noqa: BLE001 - report, never mask
-                return _verdict(
-                    "property suites", False, f"division trial {trial}: {exc}"
-                )
+                raise CriterionFailed(f"division trial {trial}: {exc}") from exc
+            _require(quotient == a, f"division round-trip {trial}")
     # matrix mutation involution and E/F factorization on random slices
     for trial in range(200):
         label, rank = rng.choice(COMPAT_SWEEP_TYPES)
@@ -379,30 +361,25 @@ def crit_10_properties() -> Verdict:
         slc = build_slice(cc, N=rng.randint(1, 2))
         k = rng.randrange(slc.b_matrix.shape[1])
         b1 = mutate_matrix(slc.b_matrix, slc.exch_rows, k)
-        if not np.array_equal(
-            mutate_matrix(b1, slc.exch_rows, k), slc.b_matrix
-        ):
-            return _verdict("property suites", False, f"involution trial {trial}")
+        _require(
+            np.array_equal(mutate_matrix(b1, slc.exch_rows, k), slc.b_matrix),
+            f"involution trial {trial}",
+        )
         ek = e_matrix(slc.b_matrix, slc.exch_rows, k)
         fk = f_matrix(slc.b_matrix, slc.exch_rows, k)
-        if not np.array_equal(ek @ slc.b_matrix @ fk, b1):
-            return _verdict("property suites", False, f"EBF trial {trial}")
+        _require(np.array_equal(ek @ slc.b_matrix @ fk, b1), f"EBF trial {trial}")
     # quantum mutation involution plus positivity/parity of coefficients
     c2 = build_cartan("A", 2)
     slc2 = build_slice(c2, window=(-1, 6))
     seed0 = initial_seed(slc2)
     back = mutate_along(seed0, SL3_PATH[:4] + SL3_PATH[:4][::-1])
-    if back.vars != seed0.vars:
-        return _verdict("property suites", False, "quantum involution")
+    _require(back.vars == seed0.vars, "quantum involution")
     final = mutate_along(seed0, SL3_PATH)
     for v, el in final.vars.items():
         for coeff in el.dense.values():
-            if any(n <= 0 for n in coeff.values()):
-                return _verdict("property suites", False, f"positivity at {v}")
-            parities = {k % 2 for k in coeff}
-            if len(parities) > 1:
-                return _verdict("property suites", False, f"t-parity at {v}")
-    return _verdict("property suites", True, "200 random cases per law, seed fixed")
+            _require(all(n > 0 for n in coeff.values()), f"positivity at {v}")
+            _require(len({k % 2 for k in coeff}) <= 1, f"t-parity at {v}")
+    return "200 random cases per law, seed fixed"
 
 
 ALL_CRITERIA = [

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgroth import qcluster, qtorus
+from qgroth import qcluster, qtorus, repchar
 from qgroth.cartan import build_cartan
 from qgroth.cli import _emit, _emit_value, main
 from qgroth.qcluster import initial_seed, mutate_along
@@ -224,6 +225,21 @@ class TestThinCheck:
             capsys, ["thin-check", "--type", "D", "--rank", "4", "--i", "1", "--r", "0"]
         )
         assert code == 2
+
+    def test_nontrivial_coefficients_exit_1(self, capsys, monkeypatch):
+        real = repchar.fundamental_qt_character
+
+        def times_t(c, i, r):
+            char = real(c, i, r)
+            return dataclasses.replace(char, value=char.value.scaled({2: 1}))
+
+        monkeypatch.setattr(repchar, "fundamental_qt_character", times_t)
+        n = len(real(build_cartan("A", 3), 2, 1).value.dense)
+        code, out, _ = run(
+            capsys, ["thin-check", "--type", "A", "--rank", "3", "--i", "2", "--r", "1"]
+        )
+        assert code == 1
+        assert out == f"FAIL thin A3 (2,1): {n} monomials with nontrivial coefficients\n"
 
 
 class TestCartanQuiver:

@@ -185,7 +185,8 @@ class TestClassicalEngine:
         a = cmono({(1, 0): 1}, 2)
         b = cmono({(1, 2): 1}) + cmono({(1, -2): 1}, 3)
         assert cp_exact_div(a * b, a) == b
-        with pytest.raises(MutationError):
+        # the engine locates a failure; the division itself leaves it a torus error
+        with pytest.raises(NonExactDivision):
             cp_exact_div(cmono({(1, 0): 1}) + cmono({(1, 2): 1}),
                          cmono({(1, 0): 1}) + cmono({(1, -2): 1}))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qgroth.cartan import build_cartan
+from qgroth.compat import build_lambda, mutate_lambda
 from qgroth.quiver import (
     QuiverError,
     b_entry,
@@ -113,6 +114,15 @@ class TestMutation:
         slc = build_slice(c, N=1)
         with pytest.raises(QuiverError):
             mutate_matrix(slc.b_matrix, slc.exch_rows, 5)
+
+    def test_exch_rows_length_mismatch_rejected(self):
+        c = build_cartan("A", 2)
+        slc = build_slice(c, N=1)
+        short = slc.exch_rows[:-1]
+        with pytest.raises(QuiverError, match="exch_rows length must match"):
+            mutate_matrix(slc.b_matrix, short, 0)
+        with pytest.raises(QuiverError, match="exch_rows length must match"):
+            mutate_lambda(build_lambda(c, slc), slc.b_matrix, short, 0)
 
     def test_frozen_vertex_rejected(self):
         c = build_cartan("A", 1)
