@@ -24,7 +24,7 @@ from .qcluster import (
     initial_seed,
     mutate_along,
 )
-from .qtorus import TERM_BUDGET, TorusElement, TorusError, evaluate_t1
+from .qtorus import TERM_BUDGET, TorusElement, TorusError, evaluate_t1, vertex_sort_key
 from .repchar import (
     RepCharError,
     baxter_check,
@@ -264,9 +264,7 @@ def cmd_fund_char(args) -> int:
 def cmd_oracle(args) -> int:
     c = _cartan_of(args)
     chi = classical_fm_qchar(c, args.i, args.r)
-    monos = sorted(
-        chi, key=lambda m: sorted(((-r, i), e) for (i, r), e in m)
-    )
+    monos = sorted(chi, key=lambda m: sorted((vertex_sort_key(v), e) for v, e in m))
     text = " + ".join(
         "".join(f"Y[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in m) or "1"
         for m in monos

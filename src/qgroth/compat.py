@@ -5,7 +5,8 @@ form cartan.skew_form on the slice's vertex list; together with the exchange
 matrix it forms a compatible pair, meaning B^T Lambda is diagonal on the
 exchangeable columns.  For this construction the diagonal is the constant
 -2; the checker reports the signed diagonal rather than insisting on a
-positivity convention.
+positivity convention, and raises QuiverError rather than let B^T Lambda
+wrap past int64.
 
 Mutation transports Lambda to E_k^T Lambda E_k.  As E_k - I is rank one,
 mutate_lambda rewrites only row and column rk, reading only the rows and
@@ -49,11 +50,17 @@ def check_compatible(
 
     Returns the signed diagonal; any constant nonzero diagonal with zero
     off-pattern entries counts as compatible, and so, vacuously, does the
-    empty diagonal of a slice with no exchangeable vertex (4 levels)."""
+    empty diagonal of a slice with no exchangeable vertex (4 levels).
+    Raises QuiverError rather than wrap when max|B| max|Lambda| times the
+    number of rows, a bound on every entry and partial sum, reaches 2^63."""
     if lam.shape != (b.shape[0], b.shape[0]):
         raise QuiverError(
             f"shape mismatch: B is {b.shape}, Lambda is {lam.shape}"
         )
+    # min is read as a Python int: np.abs wraps at -2^63
+    mb, ml = (max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (b, lam))
+    if (bound := mb * ml * b.shape[0]) >= 2**63:
+        raise QuiverError(f"B^T Lambda may overflow int64: bound {bound}")
     prod = b.T @ lam  # n x m
     pivots = (np.arange(len(exch_rows)), list(exch_rows))
     diag = tuple(prod[pivots].tolist())

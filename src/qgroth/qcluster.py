@@ -8,9 +8,9 @@ current cluster, adds the two v-power unit factors dictated by the current
 skew form, and divides on the left by the old variable.  Exactness of that
 division is the Laurent phenomenon; failure is reported as a bug, never
 papered over.  Both engines locate a failed mutation in _located: a star
-product or sum past qtorus.TERM_BUDGET stops it with TermBudgetExceeded, and
-any other torus failure becomes a MutationError; both name the vertex and
-the path.
+product, division remainder or sum past qtorus.TERM_BUDGET stops it with
+TermBudgetExceeded, and any other torus failure becomes a MutationError;
+both name the vertex and the path.
 
 A classical (t=1) engine is included as an independent cross-check oracle.
 It runs its own commutative exchange relation on the same TorusElement with
@@ -55,8 +55,8 @@ class MutationError(ValueError):
 
 
 class TermBudgetExceeded(MutationError):
-    """A star product or sum of a mutation grew past qtorus.TERM_BUDGET
-    terms; terms is its size when it stopped and budget the cap it broke."""
+    """A product, division remainder or sum of a mutation grew past
+    qtorus.TERM_BUDGET terms; terms is its size at the stop, budget the cap."""
 
     def __init__(self, exc: TermBudgetError, vertex: Vertex, path: tuple[Vertex, ...]):
         super().__init__(

@@ -42,8 +42,9 @@ classical (t=1) engine uses the same TorusElement with no Cartan data: an
 untwisted frame, where the same product and division run at zero twist.
 
 TERM_BUDGET caps the memory of one operation.  A star product counts its
-terms as it grows, after each term of its left factor, and a sum counts its
-result; past the budget either raises TermBudgetError with the size.
+terms as it grows, after each term of its left factor, a division counts
+its remainder after each quotient term, and a sum counts its result; past
+the budget each raises TermBudgetError with the size.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ TERM_BUDGET = 2_000_000
 
 
 class TermBudgetError(TorusError):
-    """A star product or a sum grew past TERM_BUDGET terms: terms is its
-    size when it stopped and budget the cap."""
+    """A star product, a division remainder or a sum grew past TERM_BUDGET
+    terms: terms is its size when it stopped and budget the cap."""
 
     def __init__(self, what: str, terms: int):
         super().__init__(
@@ -518,7 +519,8 @@ def _divide(frame: _Frame, a: dict, d: dict, rows: dict) -> dict:
     A min-heap of the remainder's keys pops its leading term (see
     exact_left_divide), and each step subtracts d times one quotient term.
     Where no quotient exists it raises NonExactDivision at once, with the
-    reason and the remainder at that point."""
+    reason and the remainder at that point; a remainder past TERM_BUDGET
+    raises TermBudgetError."""
     if not a:
         return {}
     rem = dict(a)
@@ -563,6 +565,8 @@ def _divide(frame: _Frame, a: dict, d: dict, rows: dict) -> dict:
             _add_product(target, cd, neg_cx, sum(map(mul, row, ex)) if row else 0)
             if not target:
                 del rem[k]  # its heap entry is skipped when popped
+        if len(rem) > TERM_BUDGET:
+            raise TermBudgetError("a division remainder", len(rem))
     return quot
 
 

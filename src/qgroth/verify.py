@@ -2,9 +2,11 @@
 
 Each check returns (name, ok, detail).  A criterion body returns its PASS
 detail and fails through _require at its first failed check; the criterion
-decorator names it and builds the verdict.  Golden data (printed matrices,
-series, cluster variables) lives here so the CLI and the test suite share a
-single source of truth.
+decorator names it, builds the verdict and registers the check: in
+ALL_CRITERIA, in definition order, and with quick=True also in
+QUICK_CRITERIA, the set behind `verify-all --quick`.  Golden data (printed
+matrices, series, cluster variables) lives here so the CLI and the test
+suite share a single source of truth.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ D4_SEQUENCE_GOLDEN = [
 
 A2_SEQUENCE_GOLDEN = [(1, 4), (1, 2), (2, 3), (2, 1), (1, 4)]
 
-SL3_PATH = [(1, 4), (1, 2), (2, 3), (2, 1), (1, 4)]
+SL3_PATH = A2_SEQUENCE_GOLDEN
 
 # the four printed classical cluster variables along SL3_PATH
 SL3_GOLDEN = {
@@ -140,9 +142,14 @@ def _require(ok: bool, detail: str) -> None:
         raise CriterionFailed(detail)
 
 
-def criterion(name: str):
+ALL_CRITERIA: list = []
+QUICK_CRITERIA: list = []
+
+
+def criterion(name: str, quick: bool = False):
     """Turn a criterion body, which returns its PASS detail and fails through
-    _require, into a check that returns the verdict (name, ok, detail)."""
+    _require, into a check that returns the verdict (name, ok, detail), and
+    register it in ALL_CRITERIA and, if quick, in QUICK_CRITERIA."""
 
     def wrap(body):
         @functools.wraps(body)
@@ -152,6 +159,9 @@ def criterion(name: str):
             except CriterionFailed as exc:
                 return (name, False, str(exc))
 
+        ALL_CRITERIA.append(check)
+        if quick:
+            QUICK_CRITERIA.append(check)
         return check
 
     return wrap
@@ -159,7 +169,7 @@ def criterion(name: str):
 
 # ------------------------------------------------------------- the criteria
 
-@criterion("cartan series")
+@criterion("cartan series", quick=True)
 def crit_1_cartan_series() -> str:
     a1 = build_cartan("A", 1)
     want_a1 = {1: 1, 3: -1, 5: 1, 7: -1, 9: 1, 11: -1}
@@ -176,7 +186,7 @@ def crit_1_cartan_series() -> str:
     return "A1 through degree 11, A2 through 14"
 
 
-@criterion("D4 golden matrices")
+@criterion("D4 golden matrices", quick=True)
 def crit_2_d4_golden() -> str:
     c = build_cartan("D", 4)
     slc = build_slice(c, window=(-5, 2))
@@ -237,7 +247,7 @@ def crit_4_sl3_classical() -> str:
     return "4 printed variables, classical and t=1"
 
 
-@criterion("sl2 quantum mutation")
+@criterion("sl2 quantum mutation", quick=True)
 def crit_5_sl2_quantum() -> str:
     c = build_cartan("A", 1)
     seed = mutate(initial_seed(build_slice(c, N=1)), (1, 0))
@@ -252,7 +262,7 @@ def crit_5_sl2_quantum() -> str:
     return var.to_text()
 
 
-@criterion("mutation sequences")
+@criterion("mutation sequences", quick=True)
 def crit_6_sequences() -> str:
     a2 = mutation_sequence(build_cartan("A", 2), 1, 0)
     _require(list(a2.sequence) == A2_SEQUENCE_GOLDEN, f"A2: {a2.sequence}")
@@ -285,7 +295,7 @@ def crit_7_type_a_theorem() -> str:
     return "A1..A4, all nodes, two levels each"
 
 
-@criterion("quantized Baxter")
+@criterion("quantized Baxter", quick=True)
 def crit_8_baxter() -> str:
     c = build_cartan("A", 1)
     for r in (-1, 0, 1):
@@ -301,7 +311,7 @@ def crit_8_baxter() -> str:
     return "r in {-1,0,1} plus classical image"
 
 
-@criterion("Drinfeld double")
+@criterion("Drinfeld double", quick=True)
 def crit_9_drinfeld() -> str:
     bad = [name for name, ok, _ in drinfeld_double_check(q_sign=-1) if not ok]
     _require(not bad, f"failed: {bad}")
@@ -380,29 +390,6 @@ def crit_10_properties() -> str:
             _require(all(n > 0 for n in coeff.values()), f"positivity at {v}")
             _require(len({k % 2 for k in coeff}) <= 1, f"t-parity at {v}")
     return "200 random cases per law, seed fixed"
-
-
-ALL_CRITERIA = [
-    crit_1_cartan_series,
-    crit_2_d4_golden,
-    crit_3_compat_sweep,
-    crit_4_sl3_classical,
-    crit_5_sl2_quantum,
-    crit_6_sequences,
-    crit_7_type_a_theorem,
-    crit_8_baxter,
-    crit_9_drinfeld,
-    crit_10_properties,
-]
-
-QUICK_CRITERIA = [
-    crit_1_cartan_series,
-    crit_2_d4_golden,
-    crit_5_sl2_quantum,
-    crit_6_sequences,
-    crit_8_baxter,
-    crit_9_drinfeld,
-]
 
 
 def run_all(quick: bool = False) -> list[Verdict]:

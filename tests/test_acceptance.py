@@ -6,6 +6,8 @@ The failure-path tests break one name a criterion reads and pin the verdict
 of its first failed check.
 """
 
+import re
+
 import pytest
 
 from qgroth import verify
@@ -18,6 +20,18 @@ def test_acceptance(criterion):
     name, ok, detail = criterion()
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def test_registry_is_the_criteria_in_definition_order():
+    names = [name for name in vars(verify) if re.fullmatch(r"crit_\d+_\w+", name)]
+    names.sort(key=lambda name: int(name.split("_")[1]))
+    assert [fn.__name__ for fn in verify.ALL_CRITERIA] == names and len(names) == 10
+    # perfbench rebinds each entry and the module attribute of its name
+    for fn in verify.ALL_CRITERIA + verify.QUICK_CRITERIA:
+        assert getattr(verify, fn.__name__) is fn
+    assert [fn.__name__.split("_")[1] for fn in verify.QUICK_CRITERIA] == [
+        "1", "2", "5", "6", "8", "9"
+    ]
 
 
 # (criterion, name it reads from qgroth.verify, replacement built from the

@@ -86,6 +86,16 @@ class TestCheckCompatible:
         with pytest.raises(QuiverError):
             check_compatible(slc.b_matrix, np.zeros((2, 2), dtype=int), slc.exch_rows)
 
+    def test_product_that_may_wrap_is_refused(self):
+        # scaled by 2^62 + 1, the diagonal -2 becomes -2^63 - 2, which int64
+        # would wrap to 2^63 - 2
+        c = build_cartan("A", 1)
+        slc = build_slice(c, N=1)
+        lam = build_lambda(c, slc)
+        assert str(check_compatible(slc.b_matrix, lam, slc.exch_rows)) == "PASS diagonal=[-2]"
+        with pytest.raises(QuiverError, match=r"B\^T Lambda may overflow int64"):
+            check_compatible(slc.b_matrix, lam * (2**62 + 1), slc.exch_rows)
+
     @pytest.mark.parametrize("label,rank", COMPAT_SWEEP_TYPES)
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sweep(self, label, rank, n):

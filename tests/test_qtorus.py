@@ -146,6 +146,24 @@ class TestTermBudget:
         with pytest.raises(TermBudgetError):
             a - b
 
+    def test_division_remainder_over_budget(self, monkeypatch):
+        # untwisted, on 8 vertices: prod(1 + z_j) * prod(1 - z_j) divided by
+        # prod(1 + z_j), 256 terms each; the remainder peaks at 882 terms
+        one = TorusElement.one(None)
+        p = m = one
+        for j in range(8):
+            z = monomial(None, {(j, 0): 1})
+            p, m = p * (one + z), m * (one - z)
+        num = p * m
+        monkeypatch.setattr(qtorus, "TERM_BUDGET", 500)
+        with pytest.raises(TermBudgetError) as info:
+            exact_left_divide(num, p)
+        assert str(info.value) == (
+            "a division remainder has 510 terms, more than the term budget of 500"
+        )
+        monkeypatch.setattr(qtorus, "TERM_BUDGET", 882)
+        assert exact_left_divide(num, p) == m
+
 
 class TestBar:
     def test_scalar(self, a1):
