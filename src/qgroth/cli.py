@@ -232,9 +232,9 @@ def cmd_mutate(args) -> int:
     if vertex not in slc.index:
         raise UsageError(f"vertex {vertex} is not in this slice")
     if args.t1:
-        value = classical_mutate_along(slc, path)[vertex]
+        value = classical_mutate_along(slc, path, read=[vertex])[vertex]
     else:
-        value = mutate_along(initial_seed(slc), path).vars[vertex]
+        value = mutate_along(initial_seed(slc), path, read=[vertex]).vars[vertex]
     _emit_value(args, {"vertex": list(vertex)}, value)
     return 0
 

@@ -91,7 +91,8 @@ def mutate_lambda(
     cl = cu.tolist()
     l1 = sum(map(abs, cl))
     rows = np.array((lam.take(u, 0), lam.T.take(u, 0)))  # Lambda[u, :], Lambda[:, u]^T
-    check_int64(int(np.abs(rows).max()) * l1, "Lambda", k)
+    # read as Python ints: np.abs wraps at -2^63
+    check_int64(max(int(rows.max()), -int(rows.min())) * l1, "Lambda", k)
     out = lam.astype(np.int64)
     row_col = cu @ rows
     out[:, rk] = row_col[1]

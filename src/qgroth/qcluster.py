@@ -12,6 +12,12 @@ product, division remainder or sum past qtorus.TERM_BUDGET stops it with
 TermBudgetExceeded, and any other torus failure becomes a MutationError;
 both name the vertex and the path.
 
+Given the vertices to be read, a path is run in two passes.  The first,
+over B~ alone, collects the steps whose variables they depend on.  The
+second mutates B~ and Lambda at every step but runs the exchange and the
+division only at the collected steps, each doing exactly the arithmetic of
+a full run.  So a read variable is the same either way.
+
 A classical (t=1) engine is included as an independent cross-check oracle.
 It runs its own commutative exchange relation on the same TorusElement with
 no Cartan data, the untwisted ring.
@@ -164,6 +170,25 @@ def _exchange_sum(seed: QuantumSeed, col: int) -> TorusElement:
     return _frame_monomial(seed, a_plus, gamma_plus) + _frame_monomial(seed, a_minus, gamma_minus)
 
 
+def _matrix_step(seed: QuantumSeed, k: Vertex, col: int, new_var) -> QuantumSeed:
+    """The seed after mutating B~ and Lambda at k, col its exchange column,
+    with new_var at k; with new_var None the variable at k is dropped."""
+    new_vars = dict(seed.vars)
+    if new_var is None:
+        new_vars.pop(k, None)
+    else:
+        new_vars[k] = new_var
+    return QuantumSeed(
+        slice=seed.slice,
+        vars=new_vars,
+        b_current=mutate_matrix(seed.b_current, seed.slice.exch_rows, col),
+        lambda_current=mutate_lambda(
+            seed.lambda_current, seed.b_current, seed.slice.exch_rows, col
+        ),
+        history=seed.history + (k,),
+    )
+
+
 def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
     """One quantum exchange mutation in direction k."""
     col = seed.slice.column_of(k)
@@ -178,23 +203,51 @@ def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
             vertex=k,
             path=seed.history,
         )
-
-    new_vars = dict(seed.vars)
-    new_vars[k] = new_var
-    return QuantumSeed(
-        slice=seed.slice,
-        vars=new_vars,
-        b_current=mutate_matrix(seed.b_current, seed.slice.exch_rows, col),
-        lambda_current=mutate_lambda(
-            seed.lambda_current, seed.b_current, seed.slice.exch_rows, col
-        ),
-        history=seed.history + (k,),
-    )
+    return _matrix_step(seed, k, col, new_var)
 
 
-def mutate_along(seed: QuantumSeed, path) -> QuantumSeed:
-    for k in path:
-        seed = mutate(seed, k)
+def _runs(slc: QuiverSlice, b: np.ndarray, path: tuple[Vertex, ...], read) -> list[bool]:
+    """Whether each step of path runs its exchange, b the B~ before it.
+
+    With read None every step runs; else only the steps the variables at
+    the vertices in read depend on.  Step s at k reads the variable at k and
+    at every row where column k of the current B~ is nonzero, each from the
+    last earlier step that wrote that vertex, or from the initial seed.  One
+    forward pass over B~ records those reads, and one walk back from the
+    last writer of each vertex in read collects them."""
+    if read is None:
+        return [True] * len(path)
+    verts = slc.vertices
+    last: dict[Vertex, int] = {}
+    deps: list[list[int]] = []
+    for s, k in enumerate(path):
+        col = slc.column_of(k)
+        reads = [k, *(verts[row] for row in b[:, col].nonzero()[0])]
+        deps.append([last[v] for v in reads if v in last])
+        last[k] = s
+        b = mutate_matrix(b, slc.exch_rows, col)
+    runs = [False] * len(path)
+    for v in read:
+        if v in last:
+            runs[last[v]] = True
+    for s in reversed(range(len(path))):
+        if runs[s]:
+            for d in deps[s]:
+                runs[d] = True
+    return runs
+
+
+def mutate_along(seed: QuantumSeed, path, read=None) -> QuantumSeed:
+    """Mutate along path.  B~ and Lambda mutate at every step.  With read
+    None every step is a full mutate; given the vertices to read, only the
+    steps their variables depend on are, and the vertex of every other step
+    is dropped from vars, so reading it raises KeyError."""
+    path = tuple(path)
+    for k, run in zip(path, _runs(seed.slice, seed.b_current, path, read)):
+        if run:
+            seed = mutate(seed, k)
+        else:
+            seed = _matrix_step(seed, k, seed.slice.column_of(k), None)
     return seed
 
 
@@ -206,25 +259,32 @@ def cp_exact_div(a: TorusElement, d: TorusElement) -> TorusElement:
     return exact_left_divide(a, d)
 
 
-def classical_mutate_along(slc: QuiverSlice, path) -> dict[Vertex, dict[ExpKey, int]]:
+def classical_mutate_along(
+    slc: QuiverSlice, path, read=None
+) -> dict[Vertex, dict[ExpKey, int]]:
     """Run the commutative exchange relation along a path; the t=1 oracle.
 
     The variables are TorusElements with no Cartan data, all in one
     untwisted frame on the slice vertices, and the exchange monomials are
-    plain products of them, with no v-powers.  Returns the t=1 images."""
+    plain products of them, with no v-powers.  Returns the t=1 images.
+    read selects the steps that run as in mutate_along, and the vertex of a
+    skipped step is missing from the result."""
     vars_ = frame_variables(None, slc.vertices)
     one = TorusElement.one(None)
     b = slc.b_matrix
     verts = slc.vertices
     path = tuple(path)
-    for step, k in enumerate(path):
+    for step, (k, run) in enumerate(zip(path, _runs(slc, b, path, read))):
         col = slc.column_of(k)
-        powers = [(vars_[verts[row]], int(e)) for row, e in enumerate(b[:, col]) if e]
-        with _located("classical mutation", k, path[:step]):
-            total = (
-                prod((x for x, e in powers for _ in range(e)), start=one)
-                + prod((x for x, e in powers for _ in range(-e)), start=one)
-            )
-            vars_[k] = cp_exact_div(total, vars_[k])
+        if run:
+            powers = [(vars_[verts[row]], int(e)) for row, e in enumerate(b[:, col]) if e]
+            with _located("classical mutation", k, path[:step]):
+                total = (
+                    prod((x for x, e in powers for _ in range(e)), start=one)
+                    + prod((x for x, e in powers for _ in range(-e)), start=one)
+                )
+                vars_[k] = cp_exact_div(total, vars_[k])
+        else:
+            vars_.pop(k, None)
         b = mutate_matrix(b, slc.exch_rows, col)
     return {v: evaluate_t1(x) for v, x in vars_.items()}

@@ -66,8 +66,9 @@ class TorusError(ValueError):
 
 
 # The most terms a star product, partial or whole, or a sum may have: a cap
-# on one operation's memory.  The largest exchange sum known to finish,
-# D5 (2,1)'s, has 1 201 258 terms.
+# on one operation's memory.  The largest exchange sum a finishing fund-char
+# forms, D6 (1,0)'s, has 194 270 terms; a full run of D5 (2,1)'s sequence,
+# every step's exchange, forms one of 1 201 258.
 TERM_BUDGET = 2_000_000
 
 

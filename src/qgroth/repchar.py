@@ -85,7 +85,7 @@ def fundamental_qt_character(c: CartanData, i: int, r: int) -> QtCharacter:
     and read the variable at (i, r + 2h')."""
     spec = mutation_sequence(c, i, r)
     slc = build_slice(c, window=default_window(c, i, r))
-    seed = mutate_along(initial_seed(slc), spec.sequence)
+    seed = mutate_along(initial_seed(slc), spec.sequence, read=[spec.read_vertex])
     return QtCharacter(
         origin=spec.origin,
         vertex_read=spec.read_vertex,

@@ -230,20 +230,17 @@ def crit_3_compat_sweep() -> str:
 def crit_4_sl3_classical() -> str:
     c = build_cartan("A", 2)
     slc = build_slice(c, window=(-1, 6))
-    # classical engine, step by step
-    for (step, vertex), monos in sorted(SL3_GOLDEN.items()):
-        got = classical_mutate_along(slc, SL3_PATH[:step])[vertex]
-        _require(got == {make_key(m): 1 for m in monos}, f"step {step} vertex {vertex}")
-    # quantum engine specializes to the same values
     seed = initial_seed(slc)
-    for step, k in enumerate(SL3_PATH, start=1):
-        seed = mutate(seed, k)
-        for (s, vertex), monos in SL3_GOLDEN.items():
-            if s == step:
-                _require(
-                    evaluate_t1(seed.vars[vertex]) == {make_key(m): 1 for m in monos},
-                    f"quantum t=1 mismatch at step {step} vertex {vertex}",
-                )
+    # the classical engine, and the quantum one at t=1, step by step
+    for (step, vertex), monos in sorted(SL3_GOLDEN.items()):
+        want = {make_key(m): 1 for m in monos}
+        got = classical_mutate_along(slc, SL3_PATH[:step], read=[vertex])[vertex]
+        _require(got == want, f"step {step} vertex {vertex}")
+        quantum = mutate_along(seed, SL3_PATH[:step], read=[vertex]).vars[vertex]
+        _require(
+            evaluate_t1(quantum) == want,
+            f"quantum t=1 mismatch at step {step} vertex {vertex}",
+        )
     return "4 printed variables, classical and t=1"
 
 

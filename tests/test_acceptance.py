@@ -44,7 +44,7 @@ FAILURES = [
     ("crit_3_compat_sweep", "build_lambda", lambda real: lambda c, slc: 2 * real(c, slc),
      "compatibility sweep", "A1 N=1: PASS diagonal=[-4]"),
     ("crit_4_sl3_classical", "classical_mutate_along",
-     lambda real: lambda slc, path: {v: {} for v in slc.vertices},
+     lambda real: lambda slc, path, read=None: {v: {} for v in slc.vertices},
      "sl3 classical mutation", "step 1 vertex (1, 4)"),
     ("crit_4_sl3_classical", "evaluate_t1", lambda real: lambda el: {},
      "sl3 classical mutation", "quantum t=1 mismatch at step 1 vertex (1, 4)"),

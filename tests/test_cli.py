@@ -168,6 +168,13 @@ class TestMutate:
         assert code == 2
 
     @pytest.mark.parametrize("engine", [[], ["--t1"]], ids=["quantum", "t1"])
+    def test_vertex_the_path_never_writes_is_its_initial_variable(self, capsys, engine):
+        argv = ["mutate", "--type", "A", "--rank", "2", "--window", "-1:6",
+                "--path", "(1,4);(1,2)", "--vertex", "(2,3)", *engine]
+        code, out, _ = run(capsys, argv)
+        assert (code, out.strip()) == (0, "z[2,3]")
+
+    @pytest.mark.parametrize("engine", [[], ["--t1"]], ids=["quantum", "t1"])
     def test_unknown_vertex_usage_error(self, capsys, engine):
         argv = ["mutate", "--type", "A", "--rank", "2", "--window", "-1:6",
                 "--path", "(1,2)", "--vertex", "(9,9)", *engine]

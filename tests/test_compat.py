@@ -256,3 +256,15 @@ def test_large_lambda_entry_off_the_pivot_mutates_exactly(label, rank):
         lam[far[0], far[-1]], lam[far[-1], far[0]] = 2**62, -(2**62)
         _, want = exact_mutation(b.astype(object), lam.astype(object), slc.exch_rows, k)
         assert np.array_equal(mutate_lambda(lam, b, slc.exch_rows, k), want)
+
+
+def test_lambda_entry_of_minus_two_to_the_63_is_refused():
+    # A2 N=1, k=0: row 0 is in the support of c, so its entry -2^63 in
+    # column 1 enters the new row; np.abs(-2^63) is -2^63, which once let it
+    # past the bound and the row wrapped
+    c = build_cartan("A", 2)
+    slc = build_slice(c, N=1)
+    lam = build_lambda(c, slc)
+    lam[0, 1] = -(2**63)
+    with pytest.raises(QuiverError, match="column 0"):
+        mutate_lambda(lam, slc.b_matrix, slc.exch_rows, 0)

@@ -191,6 +191,87 @@ class TestClassicalEngine:
                          cmono({(1, 0): 1}) + cmono({(1, -2): 1}))
 
 
+def _sequence_case(label, rank, i):
+    c = build_cartan(label, rank)
+    r = next(r for r in (0, 1) if c.in_ihat(i, r))
+    spec = mutation_sequence(c, i, r)
+    return build_slice(c, window=default_window(c, i, r)), spec
+
+
+CLOSURE_CASES = [("A", n, i) for n in (1, 2, 3, 4) for i in range(1, n + 1)] + [
+    ("D", 4, i) for i in (1, 2, 3, 4)
+]
+
+
+class TestReadClosure:
+    @pytest.mark.parametrize("label, rank, i", CLOSURE_CASES)
+    def test_read_runs_agree_with_the_full_run(self, label, rank, i):
+        slc, spec = _sequence_case(label, rank, i)
+        seed0 = initial_seed(slc)
+        full = mutate_along(seed0, spec.sequence)
+        classical = classical_mutate_along(slc, spec.sequence)
+        for v in set(spec.sequence):
+            seed = mutate_along(seed0, spec.sequence, read=[v])
+            assert seed.vars[v] == full.vars[v], v
+            assert classical_mutate_along(slc, spec.sequence, read=[v])[v] == classical[v], v
+            # B~ and Lambda mutate at every step, read or not
+            assert np.array_equal(seed.b_current, full.b_current)
+            assert np.array_equal(seed.lambda_current, full.lambda_current)
+            assert seed.history == full.history
+
+    def test_skipped_vertex_is_dropped(self):
+        slc, spec = _sequence_case("D", 4, 1)
+        read = spec.read_vertex
+        seed0 = initial_seed(slc)
+        seed = mutate_along(seed0, spec.sequence, read=[read])
+        classical = classical_mutate_along(slc, spec.sequence, read=[read])
+        skipped = set(spec.sequence) - set(seed.vars)
+        assert skipped and skipped == set(spec.sequence) - set(classical)
+        for v in skipped:
+            with pytest.raises(KeyError):
+                seed.vars[v]
+        # a vertex the path never writes keeps its initial variable
+        unwritten = set(slc.vertices) - set(spec.sequence)
+        assert unwritten <= set(seed.vars)
+        for v in unwritten:
+            assert seed.vars[v] == seed0.vars[v]
+
+    def test_a_step_reads_its_own_vertex(self, a2):
+        # the second mutation at k divides by the first one's variable
+        slc = build_slice(a2, window=(-1, 6))
+        seed0 = initial_seed(slc)
+        k = SL3_PATH[0]
+        assert mutate_along(seed0, [k, k], read=[k]).vars[k] == seed0.vars[k]
+        assert (classical_mutate_along(slc, [k, k], read=[k])[k]
+                == classical_mutate_along(slc, [])[k])
+
+    def test_reading_nothing_runs_no_exchange(self, a2):
+        slc = build_slice(a2, window=(-1, 6))
+        seed0 = initial_seed(slc)
+        seed = mutate_along(seed0, SL3_PATH, read=[])
+        assert seed.vars == {v: x for v, x in seed0.vars.items() if v not in SL3_PATH}
+
+    @pytest.mark.parametrize(
+        "label, rank, i, runs, steps",
+        [("D", 4, 1, 15, 21), ("D", 5, 1, 28, 46)],
+    )
+    def test_steps_run(self, label, rank, i, runs, steps):
+        slc, spec = _sequence_case(label, rank, i)
+        run = qcluster._runs(slc, slc.b_matrix, spec.sequence, [spec.read_vertex])
+        assert (sum(run), len(run)) == (runs, steps)
+
+    def test_each_step_that_runs_goes_through_mutate(self, monkeypatch):
+        # a trace that wraps qcluster.mutate sees every exchange that runs
+        slc, spec = _sequence_case("D", 4, 1)
+        calls = []
+        real = qcluster.mutate
+        monkeypatch.setattr(qcluster, "mutate", lambda seed, k: calls.append(k) or real(seed, k))
+        mutate_along(initial_seed(slc), spec.sequence, read=[spec.read_vertex])
+        run = qcluster._runs(slc, slc.b_matrix, spec.sequence, [spec.read_vertex])
+        assert calls == [k for k, r in zip(spec.sequence, run) if r]
+        assert len(calls) == 15
+
+
 class TestMutationFailures:
     def test_quantum_failure_names_vertex_path_and_sizes(self, a2):
         seed = mutate(initial_seed(build_slice(a2, window=(-1, 6))), SL3_PATH[0])
@@ -300,7 +381,7 @@ class TestTermBudget:
         assert f"{what} has {terms} terms, more than the term budget of {budget}" in message
 
     def test_default_budget_holds_the_largest_known_sum(self):
-        # D5 (2,1) divides a 1 201 258-term exchange sum
+        # a full run of D5 (2,1)'s sequence divides a 1 201 258-term exchange sum
         assert qtorus.TERM_BUDGET > 1_201_258
 
 

@@ -95,6 +95,21 @@ class TestFundamentalCharacter:
         assert evaluate_t1(char.value) == fm_qchar_embedded(c, i, 0)
         assert len(char.value.terms) == 8
 
+    # the minuscule nodes of D5, 10 and 16 monomials
+    @pytest.mark.parametrize("i, r, terms", [(1, 0, 10), (4, 1, 16), (5, 1, 16)])
+    def test_d5_minuscule_nodes_match_oracle(self, i, r, terms):
+        c = build_cartan("D", 5)
+        char = fundamental_qt_character(c, i, r)
+        assert evaluate_t1(char.value) == fm_qchar_embedded(c, i, r)
+        assert len(char.value.terms) == terms
+
+    @pytest.mark.slow
+    def test_d6_matches_oracle(self):
+        c = build_cartan("D", 6)
+        char = fundamental_qt_character(c, 1, 0)
+        assert evaluate_t1(char.value) == fm_qchar_embedded(c, 1, 0)
+        assert len(char.value.terms) == 12
+
 
 def shifted_terms(value, by):
     """value's terms with every level moved up by `by`, coefficients kept.
