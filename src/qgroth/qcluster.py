@@ -13,10 +13,12 @@ TermBudgetExceeded, and any other torus failure becomes a MutationError;
 both name the vertex and the path.
 
 Given the vertices to be read, a path is run in two passes.  The first,
-over B~ alone, collects the steps whose variables they depend on.  The
-second mutates B~ and Lambda at every step but runs the exchange and the
-division only at the collected steps, each doing exactly the arithmetic of
-a full run.  So a read variable is the same either way.
+over B~ alone, plans each step and collects the steps whose variables they
+depend on.  The second mutates B~ and Lambda at every step but runs the
+exchange and the division only at the collected steps, each doing exactly
+the arithmetic of a full run.  So a read variable is the same either way.
+Read None reads every vertex; each step reads its own vertex, so then every
+step runs.
 
 A classical (t=1) engine is included as an independent cross-check oracle.
 It runs its own commutative exchange relation on the same TorusElement with
@@ -206,48 +208,45 @@ def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
     return _matrix_step(seed, k, col, new_var)
 
 
-def _runs(slc: QuiverSlice, b: np.ndarray, path: tuple[Vertex, ...], read) -> list[bool]:
-    """Whether each step of path runs its exchange, b the B~ before it.
+def _steps(slc: QuiverSlice, b: np.ndarray, path: tuple[Vertex, ...], read) -> list[tuple]:
+    """The plan of path, b the B~ before it: per step its vertex, exchange
+    column, that column of B~ just before the step, and whether it runs.
 
-    With read None every step runs; else only the steps the variables at
-    the vertices in read depend on.  Step s at k reads the variable at k and
+    A step runs when the variables at the vertices in read depend on it;
+    read None reads every vertex.  Step s at k reads the variable at k and
     at every row where column k of the current B~ is nonzero, each from the
     last earlier step that wrote that vertex, or from the initial seed.  One
     forward pass over B~ records those reads, and one walk back from the
-    last writer of each vertex in read collects them."""
-    if read is None:
-        return [True] * len(path)
+    last writer of each vertex read collects them."""
     verts = slc.vertices
     last: dict[Vertex, int] = {}
+    plan: list[tuple[Vertex, int, np.ndarray]] = []
     deps: list[list[int]] = []
     for s, k in enumerate(path):
         col = slc.column_of(k)
+        plan.append((k, col, b[:, col].copy()))  # a copy keeps no whole B~ alive
         reads = [k, *(verts[row] for row in b[:, col].nonzero()[0])]
         deps.append([last[v] for v in reads if v in last])
         last[k] = s
         b = mutate_matrix(b, slc.exch_rows, col)
-    runs = [False] * len(path)
-    for v in read:
-        if v in last:
-            runs[last[v]] = True
+    runs = {last[v] for v in (verts if read is None else read) if v in last}
     for s in reversed(range(len(path))):
-        if runs[s]:
-            for d in deps[s]:
-                runs[d] = True
-    return runs
+        if s in runs:
+            runs.update(deps[s])
+    return [(*step, s in runs) for s, step in enumerate(plan)]
 
 
 def mutate_along(seed: QuantumSeed, path, read=None) -> QuantumSeed:
-    """Mutate along path.  B~ and Lambda mutate at every step.  With read
-    None every step is a full mutate; given the vertices to read, only the
-    steps their variables depend on are, and the vertex of every other step
-    is dropped from vars, so reading it raises KeyError."""
-    path = tuple(path)
-    for k, run in zip(path, _runs(seed.slice, seed.b_current, path, read)):
+    """Mutate along path.  B~ and Lambda mutate at every step; only the steps
+    the variables at the vertices in read depend on are a full mutate, and
+    the vertex of every other step is dropped from vars, so reading it raises
+    KeyError.  Read None reads every vertex; each step reads its own vertex,
+    so then every step runs."""
+    for k, col, _, run in _steps(seed.slice, seed.b_current, tuple(path), read):
         if run:
             seed = mutate(seed, k)
         else:
-            seed = _matrix_step(seed, k, seed.slice.column_of(k), None)
+            seed = _matrix_step(seed, k, col, None)
     return seed
 
 
@@ -268,17 +267,16 @@ def classical_mutate_along(
     untwisted frame on the slice vertices, and the exchange monomials are
     plain products of them, with no v-powers.  Returns the t=1 images.
     read selects the steps that run as in mutate_along, and the vertex of a
-    skipped step is missing from the result."""
+    skipped step is missing from the result.  Read None reads every vertex;
+    each step reads its own vertex, so then every step runs."""
     vars_ = frame_variables(None, slc.vertices)
     one = TorusElement.one(None)
-    b = slc.b_matrix
     verts = slc.vertices
     path = tuple(path)
-    for step, (k, run) in enumerate(zip(path, _runs(slc, b, path, read))):
-        col = slc.column_of(k)
+    for s, (k, _, bcol, run) in enumerate(_steps(slc, slc.b_matrix, path, read)):
         if run:
-            powers = [(vars_[verts[row]], int(e)) for row, e in enumerate(b[:, col]) if e]
-            with _located("classical mutation", k, path[:step]):
+            powers = [(vars_[verts[row]], int(e)) for row, e in enumerate(bcol) if e]
+            with _located("classical mutation", k, path[:s]):
                 total = (
                     prod((x for x, e in powers for _ in range(e)), start=one)
                     + prod((x for x, e in powers for _ in range(-e)), start=one)
@@ -286,5 +284,4 @@ def classical_mutate_along(
                 vars_[k] = cp_exact_div(total, vars_[k])
         else:
             vars_.pop(k, None)
-        b = mutate_matrix(b, slc.exch_rows, col)
     return {v: evaluate_t1(x) for v, x in vars_.items()}

@@ -21,7 +21,7 @@ from qgroth.qcluster import (
     mutate,
     mutate_along,
 )
-from qgroth.quiver import QuiverError, build_slice
+from qgroth.quiver import QuiverError, build_slice, mutate_matrix
 from qgroth.repchar import default_window, mutation_sequence
 from qgroth.qtorus import (
     NonExactDivision,
@@ -257,8 +257,54 @@ class TestReadClosure:
     )
     def test_steps_run(self, label, rank, i, runs, steps):
         slc, spec = _sequence_case(label, rank, i)
-        run = qcluster._runs(slc, slc.b_matrix, spec.sequence, [spec.read_vertex])
+        run = [r for *_, r in qcluster._steps(slc, slc.b_matrix, spec.sequence,
+                                              [spec.read_vertex])]
         assert (sum(run), len(run)) == (runs, steps)
+
+    @pytest.mark.parametrize("label, rank, i", CLOSURE_CASES + [("D", 5, 1)])
+    def test_reading_every_vertex_runs_every_step(self, label, rank, i):
+        # each step reads its own vertex, so every writer of it runs
+        slc, spec = _sequence_case(label, rank, i)
+        steps = qcluster._steps(slc, slc.b_matrix, spec.sequence, None)
+        assert [r for *_, r in steps] == [True] * len(spec.sequence)
+
+    def test_reading_every_vertex_runs_every_step_of_random_paths(self, a2):
+        slc = build_slice(a2, window=(-1, 6))
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            picks = rng.integers(len(slc.exchangeable), size=rng.integers(1, 16))
+            path = tuple(slc.exchangeable[j] for j in picks)
+            assert all(r for *_, r in qcluster._steps(slc, slc.b_matrix, path, None)), path
+
+    def test_plan_columns_follow_b(self):
+        slc, spec = _sequence_case("D", 4, 1)
+        b = slc.b_matrix
+        steps = qcluster._steps(slc, b, spec.sequence, [spec.read_vertex])
+        for k, (v, col, bcol, _) in zip(spec.sequence, steps):
+            assert (v, col) == (k, slc.column_of(k))
+            assert np.array_equal(bcol, b[:, col])
+            b = mutate_matrix(b, slc.exch_rows, col)
+
+    @pytest.mark.parametrize("label, rank, i", [("A", 3, 2), ("D", 4, 1)])
+    def test_full_run_is_one_mutate_per_step(self, label, rank, i):
+        slc, spec = _sequence_case(label, rank, i)
+        seed0 = initial_seed(slc)
+        full = mutate_along(seed0, spec.sequence)
+        ref = reduce(mutate, spec.sequence, seed0)
+        assert full.vars == ref.vars
+        assert np.array_equal(full.b_current, ref.b_current)
+        assert np.array_equal(full.lambda_current, ref.lambda_current)
+        assert full.history == ref.history == spec.sequence
+
+    def test_read_run_from_a_mutated_seed(self):
+        # the plan starts from the seed's current B~, not the slice's
+        slc, spec = _sequence_case("D", 4, 1)
+        p = spec.sequence
+        seed0 = initial_seed(slc)
+        mid = mutate_along(seed0, p[:7])
+        full = mutate_along(seed0, p)
+        for v in set(p[7:]):
+            assert mutate_along(mid, p[7:], read=[v]).vars[v] == full.vars[v], v
 
     def test_each_step_that_runs_goes_through_mutate(self, monkeypatch):
         # a trace that wraps qcluster.mutate sees every exchange that runs
@@ -267,8 +313,8 @@ class TestReadClosure:
         real = qcluster.mutate
         monkeypatch.setattr(qcluster, "mutate", lambda seed, k: calls.append(k) or real(seed, k))
         mutate_along(initial_seed(slc), spec.sequence, read=[spec.read_vertex])
-        run = qcluster._runs(slc, slc.b_matrix, spec.sequence, [spec.read_vertex])
-        assert calls == [k for k, r in zip(spec.sequence, run) if r]
+        steps = qcluster._steps(slc, slc.b_matrix, spec.sequence, [spec.read_vertex])
+        assert calls == [k for k, *_, r in steps if r]
         assert len(calls) == 15
 
 
