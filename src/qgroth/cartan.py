@@ -26,7 +26,7 @@ rational-function arithmetic is ever needed.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,11 +196,16 @@ def f_form(c: CartanData, i: int, j: int, m: int) -> int:
     return f if m >= 0 else -f
 
 
+def check_vertices(c: CartanData, verts: Iterable[tuple[int, int]]) -> None:
+    """Raise CartanError if a vertex (i, r) names a node outside c."""
+    for i in {i for i, _ in verts}:
+        c._check_node(i)
+
+
 def skew_form(c: CartanData, verts: Sequence[tuple[int, int]]) -> list[list[int]]:
     """The skew form on a list of vertices (i, r): entry [a][b] is
     Lambda(verts[a], verts[b]) = f_form(i_a, i_b, r_b - r_a)."""
-    for i in {i for i, _ in verts}:
-        c._check_node(i)
+    check_vertices(c, verts)
     levels = [r for _, r in verts]
     table = _degrees(c, max(levels, default=0) - min(levels, default=0))
     return [

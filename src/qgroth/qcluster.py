@@ -124,14 +124,15 @@ class QuantumSeed:
 
 def initial_seed(slc: QuiverSlice) -> QuantumSeed:
     """Seed whose variable at (i,r) is the single monomial z[i,r], all in
-    one frame on the slice vertices whose skew form is the seed's Lambda."""
+    one frame on the slice vertices built with the seed's Lambda as its
+    skew form."""
     lam = build_lambda(slc.cartan, slc)
     report = check_compatible(slc.b_matrix, lam, slc.exch_rows)
     if not report.ok:
         raise MutationError(f"initial pair not compatible: {report}")
     return QuantumSeed(
         slice=slc,
-        vars=frame_variables(slc.cartan, slc.vertices),
+        vars=frame_variables(slc.cartan, slc.vertices, lam.tolist()),
         b_current=slc.b_matrix,
         lambda_current=lam,
         history=(),

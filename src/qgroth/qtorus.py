@@ -24,22 +24,25 @@ strictly decreasing lex order, so it meets each point of the box at most
 once; a candidate outside the box certifies at once that no quotient exists.
 
 Each element is stored dense in a frame: vertices in reading order, with
-the skew form on them, read whole in one call to cartan.skew_form.
+the skew form on them, read whole in one call to cartan.skew_form when a
+product or a division first needs it, so sums, moves, comparisons and
+printing never read it.
 Exponents are tuples over the frame, negated, so plain tuple order is the
 reverse of the lex order.  The dense terms are the one copy of an element's
 terms: the constructor sums the given terms into fresh dicts, so keys of one
 monomial add up and zero exponents vanish, and terms, the ExpKey view, is
 built from them only when read.  Printing never reads it: to_text and
 sorted_terms render each term from its dense key, one at a time.  A seed's
-variables share one frame whose skew form is the seed's Lambda, so their
-arithmetic converts nothing.  Coefficient dicts are never written once their
-element is built, so a sum shares those of every exponent only one operand
-has, and a product lets equal coefficients share one dict.  Operands in two
-frames meet in either one when it holds the other's vertices, else in a new
-frame on their union.  By skew symmetry a product or a division reads only
-the twist rows of its right factor or divisor, built once per call.  The
-classical (t=1) engine uses the same TorusElement with no Cartan data: an
-untwisted frame, where the same product and division run at zero twist.
+variables share one frame built with the seed's Lambda as its skew form, so
+their arithmetic converts nothing and reads no skew form.  Coefficient dicts
+are never written once their element is built, so a sum shares those of
+every exponent only one operand has, and a product lets equal coefficients
+share one dict.  Operands in two frames meet in either one when it holds
+the other's vertices, else in a new frame on their union.  By skew symmetry
+a product or a division reads only the twist rows of its right factor or
+divisor, built once per call.  The classical (t=1) engine uses the same
+TorusElement with no Cartan data: an untwisted frame, where the same product
+and division run at zero twist.
 
 TERM_BUDGET caps the memory of one operation.  A star product counts its
 terms as it grows, after each term of its left factor, a division counts
@@ -54,7 +57,7 @@ from heapq import heapify, heappop, heappush, nsmallest
 from operator import add, le, mul, sub
 from types import MappingProxyType
 
-from .cartan import CartanData, f_form, skew_form
+from .cartan import CartanData, check_vertices, f_form, skew_form
 
 Vertex = tuple[int, int]
 TCoeff = dict[int, int]          # v-exponent -> integer coefficient
@@ -187,20 +190,31 @@ class _Frame:
     is the reverse of the lex order along the reading order (a vertex
     missing from a key counts as exponent 0), and min picks the leading
     term.  sparse_key maps a dense key back to its ExpKey.  With
-    Cartan data, lam is cartan.skew_form of the vertices, read whole at
-    construction, and the twist row of a dense exponent e is its Lambda
-    row: Lambda(e, f) = twist(e) . f, since the negations of e and f
-    cancel.  Lambda is skew, so twist(e) is the sum of e[a] lam[a] over the
-    support of e.  Without Cartan data lam is None and so are the twist
-    rows: the untwisted (t=1) ring."""
+    Cartan data, lam is cartan.skew_form of the vertices, read whole on
+    its first read, which is the first twists call, unless the frame was
+    built with it; the vertices' nodes are checked at construction, so a
+    vertex off the Cartan data is refused when its frame is built.  The
+    twist row of a dense exponent e is its Lambda row: Lambda(e, f) =
+    twist(e) . f, since the negations of e and f cancel.  Lambda is skew,
+    so twist(e) is the sum of e[a] lam[a] over the support of e.  Without
+    Cartan data lam is None and so are the twist rows: the untwisted (t=1)
+    ring."""
 
-    __slots__ = ("verts", "col", "cartan", "lam")
+    __slots__ = ("verts", "col", "cartan", "_lam")
 
-    def __init__(self, verts, cartan: CartanData | None):
+    def __init__(self, verts, cartan: CartanData | None, lam: list[list[int]] | None = None):
         self.verts = tuple(sorted(verts, key=vertex_sort_key))
         self.col = {u: j for j, u in enumerate(self.verts)}
         self.cartan = cartan
-        self.lam = None if cartan is None else skew_form(cartan, self.verts)
+        if cartan is not None:
+            check_vertices(cartan, self.verts)
+        self._lam = lam
+
+    @property
+    def lam(self) -> list[list[int]] | None:
+        if self._lam is None and self.cartan is not None:
+            self._lam = skew_form(self.cartan, self.verts)
+        return self._lam
 
     def dense(self, key: ExpKey) -> tuple[int, ...]:
         """key's dense key; its factors may come in any order."""
@@ -216,13 +230,15 @@ class _Frame:
 
     def twists(self, keys) -> dict:
         """The twist row of each dense key."""
-        if self.lam is None:
+        lam = self.lam
+        if lam is None:
             return dict.fromkeys(keys)
-        return {e: self._twist(e) for e in keys}
+        return {e: _twist(lam, e) for e in keys}
 
-    def _twist(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        scaled = [[x * y for y in self.lam[a]] for a, x in enumerate(e) if x]
-        return tuple(map(sum, zip(*scaled))) if scaled else (0,) * len(e)
+
+def _twist(lam: list[list[int]], e: tuple[int, ...]) -> tuple[int, ...]:
+    scaled = [[x * y for y in lam[a]] for a, x in enumerate(e) if x]
+    return tuple(map(sum, zip(*scaled))) if scaled else (0,) * len(e)
 
 
 def lambda_of(c: CartanData, e: ExpKey | dict, f: ExpKey | dict) -> int:
@@ -425,10 +441,16 @@ class TorusElement:
         return f"TorusElement({self.to_text()})"
 
 
-def frame_variables(c: CartanData | None, verts: Sequence[Vertex]) -> dict[Vertex, TorusElement]:
-    """The monomials z[v] for v in verts, in any order, all in one frame on
-    verts.  With c None the frame is untwisted: the commutative (t=1) ring."""
-    frame = _Frame(verts, c)
+def frame_variables(
+    c: CartanData | None, verts: Sequence[Vertex], lam: list[list[int]] | None = None
+) -> dict[Vertex, TorusElement]:
+    """The monomials z[v] for v in verts, all in one frame on verts.  With c
+    None the frame is untwisted: the commutative (t=1) ring.  verts may come
+    in any order, except with lam, the skew form on verts taken as the
+    frame's: its rows follow verts, so verts must be in reading order."""
+    frame = _Frame(verts, c, lam)
+    if lam is not None and frame.verts != tuple(verts):
+        raise TorusError("a skew form's vertices must come in reading order")
     return {v: TorusElement._of(frame, {frame.dense(((v, 1),)): {0: 1}}) for v in verts}
 
 

@@ -203,18 +203,20 @@ def crit_2_d4_golden() -> str:
 @criterion("compatibility sweep")
 def crit_3_compat_sweep() -> str:
     rng = random.Random(20230823)
+    n1_pairs = {}  # (label, rank) -> the N=1 slice and its Lambda
     for label, rank in COMPAT_SWEEP_TYPES:
         c = build_cartan(label, rank)
         for n in (1, 2, 3):
             slc = build_slice(c, N=n)
-            rep = check_compatible(slc.b_matrix, build_lambda(c, slc), slc.exch_rows)
+            lam = build_lambda(c, slc)
+            rep = check_compatible(slc.b_matrix, lam, slc.exch_rows)
             _require(rep.ok and set(rep.diag) == {-2}, f"{label}{rank} N={n}: {rep}")
+            if n == 1:
+                n1_pairs[label, rank] = slc, lam
     # random mutation sequences preserve compatibility
     for trial in range(100):
-        label, rank = rng.choice(COMPAT_SWEEP_TYPES)
-        c = build_cartan(label, rank)
-        slc = build_slice(c, N=1)
-        b, lam = slc.b_matrix, build_lambda(c, slc)
+        slc, lam = n1_pairs[rng.choice(COMPAT_SWEEP_TYPES)]
+        b = slc.b_matrix
         for _ in range(rng.randint(1, 12)):
             k = rng.randrange(b.shape[1])
             b, lam = (
@@ -321,20 +323,22 @@ def crit_9_drinfeld() -> str:
 
 
 def _random_element(rng, c, verts) -> TorusElement:
-    out = TorusElement.zero(c)
+    """The sum of 1 to 5 random monomials, built in one frame."""
+    terms: dict = {}
     for _ in range(rng.randint(1, 5)):
         exp = {v: rng.randint(-2, 2) for v in rng.sample(verts, rng.randint(1, 3))}
-        coeff = {rng.randint(-3, 3): rng.randint(-4, 4)}
-        out = out + TorusElement.monomial(c, exp, coeff)
-    return out
+        p, n = rng.randint(-3, 3), rng.randint(-4, 4)
+        coeff = terms.setdefault(make_key(exp), {})
+        coeff[p] = coeff.get(p, 0) + n
+    return TorusElement(c, terms)
 
 
 @criterion("property suites")
 def crit_10_properties() -> str:
     rng = random.Random(20230823)
+    cartans = {t: build_cartan(*t) for t in COMPAT_SWEEP_TYPES}
     # telescoping identity for all gaps <= 40
-    for label, rank in COMPAT_SWEEP_TYPES:
-        c = build_cartan(label, rank)
+    for (label, rank), c in cartans.items():
         for i in c.nodes:
             for j in c.nodes:
                 for m in range(1, 41):
@@ -345,16 +349,17 @@ def crit_10_properties() -> str:
                         lhs == n_form(c, i, j, m),
                         f"telescoping fails {label}{rank} ({i},{j},{m})",
                     )
-    c = build_cartan("A", 3)
+    c = cartans["A", 3]
     verts = [(i, r) for i in c.nodes for r in range(-6, 7) if c.in_ihat(i, r)]
     one = TorusElement.one(c)
     for trial in range(200):
         a = _random_element(rng, c, verts)
         b = _random_element(rng, c, verts)
         d = _random_element(rng, c, verts)
-        _require((a * b) * d == a * (b * d), f"associativity trial {trial}")
+        ab = a * b
+        _require(ab * d == a * (b * d), f"associativity trial {trial}")
         _require(a * one == a and one * a == a, f"unit trial {trial}")
-        _require((a * b).bar() == b.bar() * a.bar(), f"bar trial {trial}")
+        _require(ab.bar() == b.bar() * a.bar(), f"bar trial {trial}")
         if d:
             try:
                 quotient = exact_left_divide(d * a, d)
@@ -362,10 +367,12 @@ def crit_10_properties() -> str:
                 raise CriterionFailed(f"division trial {trial}: {exc}") from exc
             _require(quotient == a, f"division round-trip {trial}")
     # matrix mutation involution and E/F factorization on random slices
+    slices = {}  # ((label, rank), N) -> slice
     for trial in range(200):
-        label, rank = rng.choice(COMPAT_SWEEP_TYPES)
-        cc = build_cartan(label, rank)
-        slc = build_slice(cc, N=rng.randint(1, 2))
+        key = rng.choice(COMPAT_SWEEP_TYPES), rng.randint(1, 2)
+        if key not in slices:
+            slices[key] = build_slice(cartans[key[0]], N=key[1])
+        slc = slices[key]
         k = rng.randrange(slc.b_matrix.shape[1])
         b1 = mutate_matrix(slc.b_matrix, slc.exch_rows, k)
         _require(
@@ -376,8 +383,7 @@ def crit_10_properties() -> str:
         fk = f_matrix(slc.b_matrix, slc.exch_rows, k)
         _require(np.array_equal(ek @ slc.b_matrix @ fk, b1), f"EBF trial {trial}")
     # quantum mutation involution plus positivity/parity of coefficients
-    c2 = build_cartan("A", 2)
-    slc2 = build_slice(c2, window=(-1, 6))
+    slc2 = build_slice(cartans["A", 2], window=(-1, 6))
     seed0 = initial_seed(slc2)
     back = mutate_along(seed0, SL3_PATH[:4] + SL3_PATH[:4][::-1])
     _require(back.vars == seed0.vars, "quantum involution")

@@ -6,11 +6,15 @@ The failure-path tests break one name a criterion reads and pin the verdict
 of its first failed check.
 """
 
+import collections
+import random
 import re
 
 import pytest
 
-from qgroth import verify
+from qgroth import compat, qtorus, verify
+from qgroth.cartan import build_cartan
+from qgroth.qtorus import TorusElement
 
 
 @pytest.mark.parametrize(
@@ -99,3 +103,64 @@ def test_errors_other_than_a_failed_check_propagate(monkeypatch):
     monkeypatch.setattr(verify, "ctilde", broken)
     with pytest.raises(ZeroDivisionError, match="not a verdict"):
         verify.crit_1_cartan_series()
+
+
+# ------------------------------------------------- work done once per battery
+
+def ref_random_element(rng, c, verts):
+    """crit_10's random element as a sum of its monomials, one at a time."""
+    out = TorusElement.zero(c)
+    for _ in range(rng.randint(1, 5)):
+        exp = {v: rng.randint(-2, 2) for v in rng.sample(verts, rng.randint(1, 3))}
+        coeff = {rng.randint(-3, 3): rng.randint(-4, 4)}
+        out = out + TorusElement.monomial(c, exp, coeff)
+    return out
+
+
+def test_random_element_is_the_sum_of_its_monomials():
+    c = build_cartan("A", 3)
+    verts = [(i, r) for i in c.nodes for r in range(-6, 7) if c.in_ihat(i, r)]
+    rng, ref = random.Random(20230823), random.Random(20230823)
+    for draw in range(600):
+        got, want = verify._random_element(rng, c, verts), ref_random_element(ref, c, verts)
+        assert got == want and got.terms == want.terms, f"draw {draw}"
+        assert rng.getstate() == ref.getstate(), f"draw {draw}"
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the slices, Cartan data, frames and skew forms built."""
+    counts = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_slice", "build_cartan"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    for module in (qtorus, compat):
+        monkeypatch.setattr(module, "skew_form", counted("skew_form", module.skew_form))
+    monkeypatch.setattr(qtorus._Frame, "__init__", counted("frame", qtorus._Frame.__init__))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "criterion, want",
+    [
+        # 8 types x N=1..3; the random paths start from the N=1 slices
+        ("crit_3_compat_sweep", {"build_slice": 24, "build_cartan": 8}),
+        # 16 (type, N) slices for the matrix trials, and the A2 window
+        ("crit_10_properties", {"build_slice": 17, "build_cartan": 8}),
+    ],
+)
+def test_criterion_builds_each_fixture_once(builds, criterion, want):
+    assert getattr(verify, criterion)()[1]
+    assert {name: builds[name] for name in want} == want
+
+
+def test_battery_frames_and_skew_forms(builds):
+    assert all(ok for _, ok, _ in verify.run_all())
+    assert builds["frame"] <= 1700 and builds["skew_form"] <= 1350

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -313,11 +314,38 @@ class TestJsonDeterminism:
         assert json.loads(out1)["schema"] == 1
 
 
+VERIFY_ALL_TEXT = """\
+PASS cartan series: A1 through degree 11, A2 through 14
+PASS D4 golden matrices: 16x8 B, 16x16 Lambda, B^T L = -2 Id
+PASS compatibility sweep: 8 types x N=1..3 diagonal -2; 100 random paths
+PASS sl3 classical mutation: 4 printed variables, classical and t=1
+PASS sl2 quantum mutation: z[1,2]z[1,0]^-1 + z[1,0]^-1z[1,-2]
+PASS mutation sequences: A2 (5 vertices), D4 (21 vertices)
+PASS type A theorem: A1..A4, all nodes, two levels each
+PASS quantized Baxter: r in {-1,0,1} plus classical image
+PASS Drinfeld double: 7 relations; sign falsification fails
+PASS property suites: 200 random cases per law, seed fixed
+ALL PASS
+"""
+
+# sha256 of the whole --json output, one line
+VERIFY_ALL_JSON_SHA256 = "b4501972c5fc61db1973f2d8e14e1f5dea40411fb645c954e1b0496ec4a28c17"
+
+
 class TestVerifyAll:
     def test_quick(self, capsys):
         code, out, _ = run(capsys, ["verify-all", "--quick"])
         assert code == 0
         assert out.strip().splitlines()[-1] == "ALL PASS"
+
+    def test_full_text(self, capsys):
+        assert run(capsys, ["verify-all"]) == (0, VERIFY_ALL_TEXT, "")
+
+    def test_full_json(self, capsys):
+        code, out, err = run(capsys, ["verify-all", "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ok"]
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
 
 
 class TestTermBudget:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgroth import qtorus, repchar
-from qgroth.cartan import build_cartan, skew_form
+from qgroth import compat, qtorus, repchar
+from qgroth.cartan import CartanError, build_cartan, skew_form
 from qgroth.cli import _json_chunks
 from qgroth.qcluster import initial_seed
 from qgroth.quiver import build_slice
@@ -682,6 +682,75 @@ class TestFrames:
         assert backward == forward
         for z in (*forward.values(), *backward.values()):
             assert_frame_whole(z.frame)
+
+    def test_frame_variables_take_a_skew_form_in_reading_order(self, d4):
+        verts = [(2, 1), (1, 0), (3, 0), (4, 0)]
+        lam = skew_form(d4, verts)
+        z = frame_variables(d4, verts, lam)[(2, 1)]
+        assert z.frame.verts == tuple(verts) and z.frame.lam is lam
+        with pytest.raises(TorusError, match="reading order"):
+            frame_variables(d4, verts[::-1], skew_form(d4, verts[::-1]))
+
+
+# ------------------------------------------ the skew form, read when needed
+
+@pytest.fixture
+def skew_form_calls(monkeypatch):
+    """The vertices of each skew form read by qtorus or compat, in order."""
+    calls = []
+
+    def counted(c, verts):
+        calls.append(tuple(verts))
+        return skew_form(c, verts)
+
+    for module in (qtorus, compat):
+        monkeypatch.setattr(module, "skew_form", counted)
+    return calls
+
+
+class TestLazySkewForm:
+    def test_key_born_arithmetic_reads_none(self, d4, skew_form_calls):
+        x = monomial(d4, {(2, -1): 2, (3, 4): -1}, {1: 3}) + monomial(d4, {(1, 0): 1})
+        y = monomial(d4, {(1, 0): -1, (4, 2): 1}, {-1: 2})
+        total, diff = x + y, x - y
+        assert total != diff and x == x + TorusElement.zero(d4)
+        assert x.bar().bar() == x
+        assert total.to_text() and diff.to_text(1)
+        moved = x._moved(total.frame)  # into a frame on more vertices
+        assert moved.frame is total.frame and moved == x
+        assert skew_form_calls == []
+
+    def test_a_product_reads_its_frame_once(self, d4, skew_form_calls):
+        x = monomial(d4, {(2, -1): 2, (3, 4): -1}, {1: 3})
+        y = monomial(d4, {(1, 0): -1, (4, 2): 1}, {-1: 2})
+        xy = x * y  # x and y meet in a new frame on their union
+        assert skew_form_calls == [xy.frame.verts]
+        square = xy * xy
+        assert square.frame is xy.frame and exact_left_divide(square, xy) == xy
+        assert len(skew_form_calls) == 1
+        assert_frame_whole(xy.frame)
+
+    def test_untwisted_frames_read_none(self, skew_form_calls):
+        u = monomial(None, {(1, 0): 1, (1, 2): -1}) + monomial(None, {(1, 4): 1})
+        assert (u * u).frame.lam is None and u.frame.lam is None
+        assert skew_form_calls == []
+
+    def test_a_node_off_the_cartan_data_is_refused_when_built(self, skew_form_calls):
+        a3 = build_cartan("A", 3)
+        with pytest.raises(CartanError, match="node 9 out of range"):
+            monomial(a3, {(9, 0): 1})
+        with pytest.raises(CartanError, match="node 4 out of range"):
+            TorusElement(a3, {(((1, 0), 1), ((4, 1), -1)): {0: 1}})
+        assert skew_form_calls == []
+
+    def test_a_seed_reads_one_skew_form(self, skew_form_calls):
+        slc = build_slice(build_cartan("A", 3), N=1)
+        seed = initial_seed(slc)
+        assert skew_form_calls == [tuple(slc.vertices)]
+        x, y = (seed.vars[v] for v in slc.vertices[:2])
+        assert (x * y).frame is x.frame and exact_left_divide(x * y, x) == y
+        assert len(skew_form_calls) == 1
+        assert_frame_whole(x.frame)
 
 
 # ------------------------------------------------------ the coefficient layer
