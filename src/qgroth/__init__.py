@@ -20,12 +20,10 @@ from .qtorus import (
     embed_Y,
     evaluate_t1,
     exact_left_divide,
-    lambda_of,
 )
 from .qcluster import QuantumSeed, classical_mutate_along, initial_seed, mutate, mutate_along
 from .repchar import (
     MutationSequenceSpec,
-    QtCharacter,
     baxter_check,
     classical_fm_qchar,
     drinfeld_double_check,

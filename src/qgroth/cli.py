@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success/PASS, 1 a verification FAILed, 2 usage or domain error
-(a mutation past qtorus.TERM_BUDGET terms, or out of memory, counts as one).
+(a mutation past qtorus.TERM_BUDGET terms, or out of memory, counts as one),
+141 (128 + SIGPIPE) when the reader closes stdout before all of it is written.
 JSON output carries a top-level {"schema": 1} and is deterministic for a
 given invocation.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -101,13 +103,13 @@ def _json_chunks(obj: dict):
     yield "}"
 
 
-def _emit(args, obj, text) -> None:
-    """Print obj as JSON under --json, else text.  Either may be a function
-    that builds it, so that only the printed form is built.  The JSON is
-    written chunk by chunk, so no copy of a whole TorusElement value is built."""
+def _emit(args, obj: dict, text) -> None:
+    """Print obj as JSON under --json, else text.  text may be a function that
+    builds it, so that it is built only when printed.  The JSON is written
+    chunk by chunk, so no copy of a whole TorusElement value is built."""
     if args.json:
         out = sys.stdout
-        for chunk in _json_chunks({"schema": SCHEMA, **(obj() if callable(obj) else obj)}):
+        for chunk in _json_chunks({"schema": SCHEMA, **obj}):
             out.write(chunk)
         out.write("\n")
     else:
@@ -121,9 +123,7 @@ def _emit_value(args, head: dict, value) -> None:
         _emit(args, {**head, "t1": False, "terms": value}, value.to_text)
         return
     items = sorted(value.items())
-
-    def terms():
-        return [{"c": n, "exp": [[i, r, e] for (i, r), e in k]} for k, n in items]
+    terms = [{"c": n, "exp": [[i, r, e] for (i, r), e in k]} for k, n in items]
 
     def text():
         return " + ".join(
@@ -132,7 +132,7 @@ def _emit_value(args, head: dict, value) -> None:
             for k, n in items
         ) or "0"
 
-    _emit(args, lambda: {**head, "t1": True, "terms": terms()}, text)
+    _emit(args, {**head, "t1": True, "terms": terms}, text)
 
 
 def _cartan_of(args):
@@ -255,9 +255,10 @@ def cmd_sequence(args) -> int:
 
 def cmd_fund_char(args) -> int:
     c = _cartan_of(args)
-    char = fundamental_qt_character(c, args.i, args.r)
-    head = {"origin": list(char.origin), "read_at": list(char.vertex_read)}
-    _emit_value(args, head, evaluate_t1(char.value) if args.t1 else char.value)
+    spec = mutation_sequence(c, args.i, args.r)
+    value = fundamental_qt_character(c, args.i, args.r)
+    head = {"origin": list(spec.origin), "read_at": list(spec.read_vertex)}
+    _emit_value(args, head, evaluate_t1(value) if args.t1 else value)
     return 0
 
 
@@ -419,7 +420,14 @@ def main(argv=None) -> int:
             merged.append(tok)
     args = build_parser().parse_args(merged)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader's early close shows here, not at exit
+        return code
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:
+            # so that the interpreter's final flush of stdout cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, CartanError, QuiverError, RepCharError, TermBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

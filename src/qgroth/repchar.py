@@ -64,13 +64,6 @@ def mutation_sequence(c: CartanData, i: int, r: int) -> MutationSequenceSpec:
 
 # ------------------------------------------------------ fundamental characters
 
-@dataclass(frozen=True)
-class QtCharacter:
-    origin: Vertex
-    vertex_read: Vertex
-    value: TorusElement
-
-
 def default_window(c: CartanData, i: int, r: int) -> tuple[int, int]:
     """The slice window [r-1, r+2h'+2] of the sequence from origin (i, r), the
     same for every node i.  The sequence mutates at levels r+1 .. r+2h', and
@@ -80,17 +73,13 @@ def default_window(c: CartanData, i: int, r: int) -> tuple[int, int]:
     return (r - 1, r + 2 * h_prime + 2)
 
 
-def fundamental_qt_character(c: CartanData, i: int, r: int) -> QtCharacter:
+def fundamental_qt_character(c: CartanData, i: int, r: int) -> TorusElement:
     """Run the mutation sequence from the initial seed of the default window
-    and read the variable at (i, r + 2h')."""
+    and return the variable it reads, the one at (i, r + 2h')."""
     spec = mutation_sequence(c, i, r)
     slc = build_slice(c, window=default_window(c, i, r))
     seed = mutate_along(initial_seed(slc), spec.sequence, read=[spec.read_vertex])
-    return QtCharacter(
-        origin=spec.origin,
-        vertex_read=spec.read_vertex,
-        value=seed.vars[spec.read_vertex],
-    )
+    return seed.vars[spec.read_vertex]
 
 
 # ----------------------------------------------------- classical q-char oracle
@@ -179,8 +168,8 @@ def baxter_check(r: int) -> BaxterVerdict:
     where chi is the fundamental (q,t)-character with highest Y-key
     (1, 2r-2)."""
     c = build_cartan("A", 1)
-    char = fundamental_qt_character(c, 1, 2 * r - 2)
-    lhs = char.value * TorusElement.monomial(c, {(1, 2 * r): 1})
+    chi = fundamental_qt_character(c, 1, 2 * r - 2)
+    lhs = chi * TorusElement.monomial(c, {(1, 2 * r): 1})
     rhs = TorusElement.monomial(c, {(1, 2 * r - 2): 1}, {-1: 1}) + (
         TorusElement.monomial(c, {(1, 2 * r + 2): 1}, {1: 1})
     )
@@ -242,8 +231,7 @@ def thinness_flatten_check(c: CartanData, i: int, r: int) -> Verdict:
     must be the constant 1 (thin module, trivial t-powers)."""
     if c.dynkin_type != "A":
         raise RepCharError("the thinness check applies to type A only")
-    char = fundamental_qt_character(c, i, r)
-    dense = char.value.dense
+    dense = fundamental_qt_character(c, i, r).dense
     bad = sum(coeff != {0: 1} for coeff in dense.values())
     label = f"thin A{c.rank} ({i},{r})"
     if bad:

@@ -286,7 +286,7 @@ def crit_7_type_a_theorem() -> str:
     for rank in (1, 2, 3, 4):
         c = build_cartan("A", rank)
         for i, r in type_a_origins(c):
-            value = fundamental_qt_character(c, i, r).value
+            value = fundamental_qt_character(c, i, r)
             where = f"A{rank} ({i},{r})"
             _require(all(coeff == {0: 1} for coeff in value.dense.values()), f"{where} not thin")
             _require(value.bar() == value, f"{where} not bar-invariant")

@@ -1,20 +1,25 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgroth
 from qgroth import qcluster, qtorus, repchar
 from qgroth.cartan import build_cartan
 from qgroth.cli import _emit, _emit_value, main
 from qgroth.qcluster import initial_seed, mutate_along
 from qgroth.qtorus import TorusElement, exact_left_divide, tc_text
 from qgroth.quiver import build_slice
+from qgroth.repchar import mutation_sequence
 
 
 def run(capsys, argv):
@@ -238,11 +243,10 @@ class TestThinCheck:
         real = repchar.fundamental_qt_character
 
         def times_t(c, i, r):
-            char = real(c, i, r)
-            return dataclasses.replace(char, value=char.value.scaled({2: 1}))
+            return real(c, i, r).scaled({2: 1})
 
         monkeypatch.setattr(repchar, "fundamental_qt_character", times_t)
-        n = len(real(build_cartan("A", 3), 2, 1).value.dense)
+        n = len(real(build_cartan("A", 3), 2, 1).dense)
         code, out, _ = run(
             capsys, ["thin-check", "--type", "A", "--rank", "3", "--i", "2", "--r", "1"]
         )
@@ -346,6 +350,85 @@ class TestVerifyAll:
         assert (code, err) == (0, "")
         assert json.loads(out)["ok"]
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
+
+
+# sha256 of the whole stdout of each command: the printed bytes are part of
+# the interface, so any change to them fails here
+OUTPUT_SHA256 = {
+    "fund-char --type D --rank 4 --i 1 --r 0 --json":
+        "1abc89c511bd52fb508898ad15132f6e4b441f5466c2c5ac8cb1a968b7842f52",
+    "fund-char --type D --rank 4 --i 2 --r 1 --json":
+        "4af83cc2f0dc9f7b4e400641c910dda5c981025bf3a319d4ee98e934db45ee70",
+    "fund-char --type D --rank 5 --i 1 --r 0 --json":
+        "3ebe99249211aa7042d583af6b1b421086cd68c5ecb0c6f330511feac354ed69",
+    "fund-char --type A --rank 4 --i 2 --r 1 --json":
+        "6bbcd494cf5eb5ce2d72bf1a9859c16ad6643a76f7836068fd8d60a895c6e699",
+    "fund-char --type D --rank 4 --i 1 --r 0 --json --t1":
+        "7d81e74c8659f98c04f0651d737ed0a96aec85d11fbcb33197370d2b4672ba41",
+    "fund-char --type A --rank 3 --i 2 --r 1":
+        "7c79ec7eed7c271a444da9e31561ac3fe2c74f6eff9018da284108967c45a876",
+    "thin-check --type A --rank 3 --i 2 --r 1":
+        "55cbd4c8fd58a6902c5627c15bc43c6cdced6de806b470d2dc55ed4eb8449d25",
+    "baxter --r 0 --json":
+        "db1504ff47ac3d6d7037b91ed662270addabd4820d7d87f96f927e5b58a3f938",
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_SHA256)
+def test_output_bytes_pinned(capsys, command):
+    code, out, err = run(capsys, command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]
+
+
+ALL_NODES = [
+    (kind, rank, i) for kind, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)]
+    for i in range(1, rank + 1)
+]
+
+
+@pytest.mark.parametrize("kind, rank, i", ALL_NODES)
+def test_fund_char_heads_name_the_sequence(capsys, kind, rank, i):
+    # origin is the level asked for; read_at is the last vertex of its sequence
+    c = build_cartan(kind, rank)
+    r = next(r for r in (0, 1) if c.in_ihat(i, r))
+    argv = ["fund-char", "--type", kind, "--rank", str(rank), "--i", str(i),
+            "--r", str(r), "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["origin"] == [i, r]
+    assert obj["read_at"] == list(mutation_sequence(c, i, r).read_vertex)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the command with 141, which is
+    128 + SIGPIPE, and nothing on stderr: not 1, the code of a FAILed check."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "verify-all --quick",
+            "fund-char --type D --rank 5 --i 2 --r 1 --json",
+            "oracle --type E --rank 7 --i 7 --r 1",
+        ],
+    )
+    def test_exit_141_and_empty_stderr(self, command, buffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(qgroth.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command writes anything
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qgroth.cli", *command.split()],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestTermBudget:

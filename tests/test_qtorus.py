@@ -401,9 +401,9 @@ class TestRendering:
         values, character = [], repchar.fundamental_qt_character
 
         def spy(*args):
-            char = character(*args)
-            values.append(char.value)
-            return char
+            value = character(*args)
+            values.append(value)
+            return value
 
         monkeypatch.setattr(repchar, "fundamental_qt_character", spy)
         assert repchar.thinness_flatten_check(build_cartan("A", 3), 2, 1)[1]
