@@ -39,6 +39,8 @@ from .repchar import (
 from . import verify
 
 SCHEMA = 1
+# the commands that do torus arithmetic, which qtorus.TERM_BUDGET caps
+TORUS_COMMANDS = {"mutate", "fund-char", "baxter", "drinfeld", "thin-check", "verify-all"}
 
 
 class UsageError(Exception):
@@ -116,13 +118,13 @@ def _emit(args, obj: dict, text) -> None:
         print(text() if callable(text) else text)
 
 
-def _emit_value(args, head: dict, value) -> None:
-    """Emit head and a TorusElement, or under --t1 its t=1 image (a dict,
-    terms in sorted key order, "0" if zero), building only the printed form."""
+def _emit_value(args, head: dict, value: TorusElement) -> None:
+    """Emit head and a TorusElement, or under --t1 its evaluate_t1 image
+    (terms in sorted key order, "0" if zero), building only the printed form."""
     if not args.t1:
         _emit(args, {**head, "t1": False, "terms": value}, value.to_text)
         return
-    items = sorted(value.items())
+    items = sorted(evaluate_t1(value).items())
     terms = [{"c": n, "exp": [[i, r, e] for (i, r), e in k]} for k, n in items]
 
     def text():
@@ -256,9 +258,8 @@ def cmd_sequence(args) -> int:
 def cmd_fund_char(args) -> int:
     c = _cartan_of(args)
     spec = mutation_sequence(c, args.i, args.r)
-    value = fundamental_qt_character(c, args.i, args.r)
     head = {"origin": list(spec.origin), "read_at": list(spec.read_vertex)}
-    _emit_value(args, head, evaluate_t1(value) if args.t1 else value)
+    _emit_value(args, head, fundamental_qt_character(c, args.i, args.r))
     return 0
 
 
@@ -432,7 +433,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: out of memory within the term budget of {TERM_BUDGET} terms", file=sys.stderr)
+        torus = args.command in TORUS_COMMANDS
+        budget = f" within the term budget of {TERM_BUDGET} terms" if torus else ""
+        print(f"error: out of memory{budget}", file=sys.stderr)
         return 2
     except (TorusError, MutationError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)

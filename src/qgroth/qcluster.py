@@ -22,7 +22,7 @@ step runs.
 
 A classical (t=1) engine is included as an independent cross-check oracle.
 It runs its own commutative exchange relation on the same TorusElement with
-no Cartan data, the untwisted ring.
+no Cartan data, the untwisted ring, and returns those untwisted elements.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ from .cartan import CartanData
 from .compat import build_lambda, check_compatible, mutate_lambda
 from .quiver import QuiverSlice, Vertex, mutate_matrix
 from .qtorus import (
-    ExpKey,
     TermBudgetError,
     TorusElement,
     TorusError,
-    evaluate_t1,
     exact_left_divide,
     frame_variables,
 )
@@ -192,9 +190,28 @@ def _matrix_step(seed: QuantumSeed, k: Vertex, col: int, new_var) -> QuantumSeed
     )
 
 
+def _reads(verts, k: Vertex, bcol: np.ndarray) -> list[Vertex]:
+    """The vertices whose variables the step at k reads, bcol its column of B~."""
+    return [k, *(verts[row] for row in bcol.nonzero()[0])]
+
+
+def _require_kept(kept, verts, k: Vertex, bcol: np.ndarray, path: tuple[Vertex, ...]) -> None:
+    """Refuse the step at k after path, bcol its column of B~, when kept
+    lacks a vertex it reads, one whose variable a run with read dropped."""
+    gone = next((v for v in _reads(verts, k, bcol) if v not in kept), None)
+    if gone is not None:
+        raise MutationError(
+            f"mutation at {k} after path {list(path)} reads the variable at {gone}, "
+            "dropped by an earlier run with read",
+            vertex=k,
+            path=path,
+        )
+
+
 def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
     """One quantum exchange mutation in direction k."""
     col = seed.slice.column_of(k)
+    _require_kept(seed.vars, seed.slice.vertices, k, seed.b_current[:, col], seed.history)
     with _located("Laurent-phenomenon violation mutating", k, seed.history):
         # no local keeps the sum, often the largest value of the mutation,
         # alive through the bar check below
@@ -226,8 +243,7 @@ def _steps(slc: QuiverSlice, b: np.ndarray, path: tuple[Vertex, ...], read) -> l
     for s, k in enumerate(path):
         col = slc.column_of(k)
         plan.append((k, col, b[:, col].copy()))  # a copy keeps no whole B~ alive
-        reads = [k, *(verts[row] for row in b[:, col].nonzero()[0])]
-        deps.append([last[v] for v in reads if v in last])
+        deps.append([last[v] for v in _reads(verts, k, b[:, col]) if v in last])
         last[k] = s
         b = mutate_matrix(b, slc.exch_rows, col)
     runs = {last[v] for v in (verts if read is None else read) if v in last}
@@ -242,8 +258,16 @@ def mutate_along(seed: QuantumSeed, path, read=None) -> QuantumSeed:
     the variables at the vertices in read depend on are a full mutate, and
     the vertex of every other step is dropped from vars, so reading it raises
     KeyError.  Read None reads every vertex; each step reads its own vertex,
-    so then every step runs."""
-    for k, col, _, run in _steps(seed.slice, seed.b_current, tuple(path), read):
+    so then every step runs.  A step that would read a variable dropped
+    before the path is refused with MutationError before any step runs."""
+    path = tuple(path)
+    steps = _steps(seed.slice, seed.b_current, path, read)
+    kept = set(seed.vars)
+    for s, (k, _, bcol, run) in enumerate(steps):
+        if run:
+            _require_kept(kept, seed.slice.vertices, k, bcol, seed.history + path[:s])
+        kept.add(k)  # a later step that reads k needs step s, so step s runs
+    for k, col, _, run in steps:
         if run:
             seed = mutate(seed, k)
         else:
@@ -259,16 +283,15 @@ def cp_exact_div(a: TorusElement, d: TorusElement) -> TorusElement:
     return exact_left_divide(a, d)
 
 
-def classical_mutate_along(
-    slc: QuiverSlice, path, read=None
-) -> dict[Vertex, dict[ExpKey, int]]:
+def classical_mutate_along(slc: QuiverSlice, path, read=None) -> dict[Vertex, TorusElement]:
     """Run the commutative exchange relation along a path; the t=1 oracle.
 
     The variables are TorusElements with no Cartan data, all in one
     untwisted frame on the slice vertices, and the exchange monomials are
-    plain products of them, with no v-powers.  Returns the t=1 images.
-    read selects the steps that run as in mutate_along, and the vertex of a
-    skipped step is missing from the result.  Read None reads every vertex;
+    plain products of them, with no v-powers.  Returns them by vertex, like
+    mutate_along's vars; evaluate_t1 gives one's t=1 image.  read selects
+    the steps that run as in mutate_along, and the vertex of a skipped step
+    is missing from the result.  Read None reads every vertex;
     each step reads its own vertex, so then every step runs."""
     vars_ = frame_variables(None, slc.vertices)
     one = TorusElement.one(None)
@@ -285,4 +308,4 @@ def classical_mutate_along(
                 vars_[k] = cp_exact_div(total, vars_[k])
         else:
             vars_.pop(k, None)
-    return {v: evaluate_t1(x) for v, x in vars_.items()}
+    return vars_

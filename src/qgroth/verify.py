@@ -237,7 +237,7 @@ def crit_4_sl3_classical() -> str:
     for (step, vertex), monos in sorted(SL3_GOLDEN.items()):
         want = {make_key(m): 1 for m in monos}
         got = classical_mutate_along(slc, SL3_PATH[:step], read=[vertex])[vertex]
-        _require(got == want, f"step {step} vertex {vertex}")
+        _require(evaluate_t1(got) == want, f"step {step} vertex {vertex}")
         quantum = mutate_along(seed, SL3_PATH[:step], read=[vertex]).vars[vertex]
         _require(
             evaluate_t1(quantum) == want,
@@ -306,7 +306,7 @@ def crit_8_baxter() -> str:
         make_key({(1, -2): 1, (1, 0): -1}): 1,
         make_key({(1, 2): 1, (1, 0): -1}): 1,
     }
-    _require(classical == want, "classical image mismatch")
+    _require(evaluate_t1(classical) == want, "classical image mismatch")
     return "r in {-1,0,1} plus classical image"
 
 

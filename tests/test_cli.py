@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgroth
-from qgroth import qcluster, qtorus, repchar
+from qgroth import cli, qcluster, qtorus, repchar
 from qgroth.cartan import build_cartan
 from qgroth.cli import _emit, _emit_value, main
 from qgroth.qcluster import initial_seed, mutate_along
@@ -352,6 +352,9 @@ class TestVerifyAll:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
 
 
+# the D4 (1,0) sequence
+D4_PATH = ("(1,6);(1,4);(1,2);(3,6);(3,4);(3,2);(4,6);(4,4);(4,2);(2,5);(2,3);(2,1);"
+           "(1,6);(1,4);(3,6);(3,4);(4,6);(4,4);(2,5);(2,3);(1,6)")
 # sha256 of the whole stdout of each command: the printed bytes are part of
 # the interface, so any change to them fails here
 OUTPUT_SHA256 = {
@@ -371,6 +374,15 @@ OUTPUT_SHA256 = {
         "55cbd4c8fd58a6902c5627c15bc43c6cdced6de806b470d2dc55ed4eb8449d25",
     "baxter --r 0 --json":
         "db1504ff47ac3d6d7037b91ed662270addabd4820d7d87f96f927e5b58a3f938",
+    # the classical engine's t=1 value, and the quantum one's: the same bytes
+    f"mutate --type D --rank 4 --window -1:8 --path {D4_PATH} --t1 --json":
+        "5d6eb5a8482de7b702d6d74b999ea21eeb861b58784e6b3c0eda3a6705a3d9e7",
+    f"mutate --type D --rank 4 --window -1:8 --path {D4_PATH} --t1":
+        "565ec8bbbc23cc2f773e216ed6ab327fc09bc7160620a9d58f9f7a096e1740aa",
+    "fund-char --type D --rank 4 --i 1 --r 0 --t1":
+        "565ec8bbbc23cc2f773e216ed6ab327fc09bc7160620a9d58f9f7a096e1740aa",
+    "mutate --type A --rank 2 --window -1:6 --path (1,4);(1,2);(2,3);(2,1);(1,4) --t1 --json":
+        "019a4467a75182e45da59d5d6c43d88d326c1c140e43b3d99e834c4c576e9ec7",
 }
 
 
@@ -454,6 +466,15 @@ class TestTermBudget:
         assert code == 2
         assert not out
         assert err == f"error: out of memory within the term budget of {qtorus.TERM_BUDGET} terms\n"
+
+    def test_out_of_memory_without_torus_arithmetic_names_no_budget(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_slice", exhausted)
+        argv = ["quiver", "--type", "E", "--rank", "8", "--N", "3", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 # ------------------------------------------- printed values against a reference

@@ -143,7 +143,7 @@ class TestQuantumMutate:
         quantum = mutate_along(initial_seed(slc), SL3_PATH)
         classical = classical_mutate_along(slc, SL3_PATH)
         for v in slc.vertices:
-            assert evaluate_t1(quantum.vars[v]) == classical[v]
+            assert evaluate_t1(quantum.vars[v]) == evaluate_t1(classical[v])
 
     def test_positivity_and_parity(self, a2):
         seed = mutate_along(initial_seed(build_slice(a2, window=(-1, 6))), SL3_PATH)
@@ -165,7 +165,7 @@ class TestClassicalEngine:
     def test_sl2_baxter_exchange(self, a1):
         slc = build_slice(a1, N=1)
         got = classical_mutate_along(slc, [(1, 0)])[(1, 0)]
-        assert got == {
+        assert evaluate_t1(got) == {
             make_key({(1, -2): 1, (1, 0): -1}): 1,
             make_key({(1, 2): 1, (1, 0): -1}): 1,
         }
@@ -174,7 +174,7 @@ class TestClassicalEngine:
         slc = build_slice(a2, window=(-1, 6))
         for (step, vertex), monos in SL3_GOLDEN.items():
             got = classical_mutate_along(slc, SL3_PATH[:step])[vertex]
-            assert got == {make_key(m): 1 for m in monos}, (step, vertex)
+            assert evaluate_t1(got) == {make_key(m): 1 for m in monos}, (step, vertex)
 
     def test_involution(self, a2):
         slc = build_slice(a2, window=(-1, 6))
@@ -316,6 +316,44 @@ class TestReadClosure:
         steps = qcluster._steps(slc, slc.b_matrix, spec.sequence, [spec.read_vertex])
         assert calls == [k for k, *_, r in steps if r]
         assert len(calls) == 15
+
+    @staticmethod
+    def _d4_part():
+        # reading step 7's vertex drops the variables at (1,2), (1,4), (1,6),
+        # (3,2), (3,4) and (3,6)
+        slc, spec = _sequence_case("D", 4, 1)
+        p = spec.sequence
+        return mutate_along(initial_seed(slc), p[:7], read=[p[6]]), p
+
+    def test_a_step_reading_a_dropped_variable_is_refused_at_planning(self, monkeypatch):
+        part, p = self._d4_part()
+        assert {(1, 6), (1, 4)}.isdisjoint(part.vars)
+        calls = []
+        real = qcluster.mutate
+        monkeypatch.setattr(qcluster, "mutate", lambda seed, k: calls.append(k) or real(seed, k))
+        with pytest.raises(MutationError) as info:
+            mutate_along(part, p[7:], read=[p[-1]])
+        err = info.value
+        assert (err.vertex, err.path) == ((2, 5), p[:9])
+        assert str(err) == (
+            f"mutation at (2, 5) after path {list(p[:9])} reads the variable at (1, 6), "
+            "dropped by an earlier run with read"
+        )
+        assert calls == []
+
+    def test_mutate_refuses_a_dropped_variable(self):
+        part, p = self._d4_part()
+        with pytest.raises(MutationError, match=r"variable at \(1, 6\), dropped") as info:
+            mutate(part, (1, 6))
+        assert (info.value.vertex, info.value.path) == ((1, 6), p[:7])
+
+    def test_a_run_reading_no_dropped_variable_goes_ahead(self):
+        part, p = self._d4_part()
+        # steps 7 and 8 run, and read none of the dropped variables
+        seed = mutate_along(part, p[7:9], read=p[7:9])
+        full = mutate_along(initial_seed(part.slice), p[:9])
+        for v in p[7:9]:
+            assert seed.vars[v] == full.vars[v], v
 
 
 class TestMutationFailures:
