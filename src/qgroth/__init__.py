@@ -21,7 +21,14 @@ from .qtorus import (
     evaluate_t1,
     exact_left_divide,
 )
-from .qcluster import QuantumSeed, classical_mutate_along, initial_seed, mutate, mutate_along
+from .qcluster import (
+    QuantumSeed,
+    classical_mutate_along,
+    initial_seed,
+    mutate,
+    mutate_along,
+    read_along,
+)
 from .repchar import (
     MutationSequenceSpec,
     baxter_check,

@@ -24,7 +24,7 @@ from .qcluster import (
     TermBudgetExceeded,
     classical_mutate_along,
     initial_seed,
-    mutate_along,
+    read_along,
 )
 from .qtorus import TERM_BUDGET, TorusElement, TorusError, evaluate_t1, vertex_sort_key
 from .repchar import (
@@ -231,12 +231,10 @@ def cmd_mutate(args) -> int:
     vertex = _parse_vertex(args.vertex) if args.vertex else (path[-1] if path else None)
     if vertex is None:
         raise UsageError("empty path needs an explicit --vertex")
-    if vertex not in slc.index:
-        raise UsageError(f"vertex {vertex} is not in this slice")
     if args.t1:
         value = classical_mutate_along(slc, path, read=[vertex])[vertex]
     else:
-        value = mutate_along(initial_seed(slc), path, read=[vertex]).vars[vertex]
+        value = read_along(initial_seed(slc), path, [vertex])[vertex]
     _emit_value(args, {"vertex": list(vertex)}, value)
     return 0
 

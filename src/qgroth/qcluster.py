@@ -12,13 +12,12 @@ product, division remainder or sum past qtorus.TERM_BUDGET stops it with
 TermBudgetExceeded, and any other torus failure becomes a MutationError;
 both name the vertex and the path.
 
-Given the vertices to be read, a path is run in two passes.  The first,
-over B~ alone, plans each step and collects the steps whose variables they
-depend on.  The second mutates B~ and Lambda at every step but runs the
-exchange and the division only at the collected steps, each doing exactly
-the arithmetic of a full run.  So a read variable is the same either way.
-Read None reads every vertex; each step reads its own vertex, so then every
-step runs.
+mutate_along runs every step of a path and returns the seed.  read_along
+returns only the variables at the vertices it reads: one pass over B~ alone
+plans each step and collects the steps those variables depend on, and the
+run mutates B~ and Lambda at every step but runs the exchange and the
+division only at the collected steps, each doing exactly the arithmetic of a
+full run.  So a read variable is the same either way.
 
 A classical (t=1) engine is included as an independent cross-check oracle.
 It runs its own commutative exchange relation on the same TorusElement with
@@ -35,7 +34,7 @@ import numpy as np
 
 from .cartan import CartanData
 from .compat import build_lambda, check_compatible, mutate_lambda
-from .quiver import QuiverSlice, Vertex, mutate_matrix
+from .quiver import QuiverError, QuiverSlice, Vertex, mutate_matrix
 from .qtorus import (
     TermBudgetError,
     TorusElement,
@@ -190,28 +189,9 @@ def _matrix_step(seed: QuantumSeed, k: Vertex, col: int, new_var) -> QuantumSeed
     )
 
 
-def _reads(verts, k: Vertex, bcol: np.ndarray) -> list[Vertex]:
-    """The vertices whose variables the step at k reads, bcol its column of B~."""
-    return [k, *(verts[row] for row in bcol.nonzero()[0])]
-
-
-def _require_kept(kept, verts, k: Vertex, bcol: np.ndarray, path: tuple[Vertex, ...]) -> None:
-    """Refuse the step at k after path, bcol its column of B~, when kept
-    lacks a vertex it reads, one whose variable a run with read dropped."""
-    gone = next((v for v in _reads(verts, k, bcol) if v not in kept), None)
-    if gone is not None:
-        raise MutationError(
-            f"mutation at {k} after path {list(path)} reads the variable at {gone}, "
-            "dropped by an earlier run with read",
-            vertex=k,
-            path=path,
-        )
-
-
 def mutate(seed: QuantumSeed, k: Vertex) -> QuantumSeed:
     """One quantum exchange mutation in direction k."""
     col = seed.slice.column_of(k)
-    _require_kept(seed.vars, seed.slice.vertices, k, seed.b_current[:, col], seed.history)
     with _located("Laurent-phenomenon violation mutating", k, seed.history):
         # no local keeps the sum, often the largest value of the mutation,
         # alive through the bar check below
@@ -235,15 +215,20 @@ def _steps(slc: QuiverSlice, b: np.ndarray, path: tuple[Vertex, ...], read) -> l
     at every row where column k of the current B~ is nonzero, each from the
     last earlier step that wrote that vertex, or from the initial seed.  One
     forward pass over B~ records those reads, and one walk back from the
-    last writer of each vertex read collects them."""
+    last writer of each vertex read collects them.  A vertex in read that is
+    not in the slice raises QuiverError before any step is planned."""
     verts = slc.vertices
+    gone = next((v for v in read or () if v not in verts), None)
+    if gone is not None:
+        raise QuiverError(f"vertex {gone} is not in this slice")
     last: dict[Vertex, int] = {}
     plan: list[tuple[Vertex, int, np.ndarray]] = []
     deps: list[list[int]] = []
     for s, k in enumerate(path):
         col = slc.column_of(k)
         plan.append((k, col, b[:, col].copy()))  # a copy keeps no whole B~ alive
-        deps.append([last[v] for v in _reads(verts, k, b[:, col]) if v in last])
+        reads = [k, *(verts[row] for row in b[:, col].nonzero()[0])]
+        deps.append([last[v] for v in reads if v in last])
         last[k] = s
         b = mutate_matrix(b, slc.exch_rows, col)
     runs = {last[v] for v in (verts if read is None else read) if v in last}
@@ -253,26 +238,26 @@ def _steps(slc: QuiverSlice, b: np.ndarray, path: tuple[Vertex, ...], read) -> l
     return [(*step, s in runs) for s, step in enumerate(plan)]
 
 
-def mutate_along(seed: QuantumSeed, path, read=None) -> QuantumSeed:
-    """Mutate along path.  B~ and Lambda mutate at every step; only the steps
-    the variables at the vertices in read depend on are a full mutate, and
-    the vertex of every other step is dropped from vars, so reading it raises
-    KeyError.  Read None reads every vertex; each step reads its own vertex,
-    so then every step runs.  A step that would read a variable dropped
-    before the path is refused with MutationError before any step runs."""
-    path = tuple(path)
-    steps = _steps(seed.slice, seed.b_current, path, read)
-    kept = set(seed.vars)
-    for s, (k, _, bcol, run) in enumerate(steps):
-        if run:
-            _require_kept(kept, seed.slice.vertices, k, bcol, seed.history + path[:s])
-        kept.add(k)  # a later step that reads k needs step s, so step s runs
-    for k, col, _, run in steps:
-        if run:
-            seed = mutate(seed, k)
-        else:
-            seed = _matrix_step(seed, k, col, None)
+def _run(seed: QuantumSeed, path, read) -> QuantumSeed:
+    """The seed after path, read as in _steps.  B~ and Lambda mutate at every
+    step, a step that runs is one mutate, and the vertex of every other step
+    is dropped from vars."""
+    for k, col, _, run in _steps(seed.slice, seed.b_current, tuple(path), read):
+        seed = mutate(seed, k) if run else _matrix_step(seed, k, col, None)
     return seed
+
+
+def mutate_along(seed: QuantumSeed, path) -> QuantumSeed:
+    """Mutate along path, one mutate per step."""
+    return _run(seed, path, None)
+
+
+def read_along(seed: QuantumSeed, path, read) -> dict[Vertex, TorusElement]:
+    """The variables at the vertices in read, in that order, after path; only
+    the steps they depend on run the exchange, so the values are those of
+    mutate_along."""
+    vars_ = _run(seed, path, read).vars
+    return {v: vars_[v] for v in read}
 
 
 # ------------------------------------------------------- classical (t=1) oracle
@@ -289,10 +274,9 @@ def classical_mutate_along(slc: QuiverSlice, path, read=None) -> dict[Vertex, To
     The variables are TorusElements with no Cartan data, all in one
     untwisted frame on the slice vertices, and the exchange monomials are
     plain products of them, with no v-powers.  Returns them by vertex, like
-    mutate_along's vars; evaluate_t1 gives one's t=1 image.  read selects
-    the steps that run as in mutate_along, and the vertex of a skipped step
-    is missing from the result.  Read None reads every vertex;
-    each step reads its own vertex, so then every step runs."""
+    mutate_along's vars; evaluate_t1 gives one's t=1 image.  With read given,
+    only the steps the variables at its vertices depend on run, as in
+    read_along, and only those variables are returned, in that order."""
     vars_ = frame_variables(None, slc.vertices)
     one = TorusElement.one(None)
     verts = slc.vertices
@@ -308,4 +292,4 @@ def classical_mutate_along(slc: QuiverSlice, path, read=None) -> dict[Vertex, To
                 vars_[k] = cp_exact_div(total, vars_[k])
         else:
             vars_.pop(k, None)
-    return vars_
+    return vars_ if read is None else {v: vars_[v] for v in read}

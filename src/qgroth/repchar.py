@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cartan import CartanData, build_cartan
 from .quiver import Vertex, build_slice
-from .qcluster import initial_seed, mutate_along
+from .qcluster import initial_seed, mutate_along, read_along
 from .qtorus import TorusElement, a_monomial, embed_Y_key
 
 Verdict = tuple[str, bool, str]
@@ -78,8 +78,8 @@ def fundamental_qt_character(c: CartanData, i: int, r: int) -> TorusElement:
     and return the variable it reads, the one at (i, r + 2h')."""
     spec = mutation_sequence(c, i, r)
     slc = build_slice(c, window=default_window(c, i, r))
-    seed = mutate_along(initial_seed(slc), spec.sequence, read=[spec.read_vertex])
-    return seed.vars[spec.read_vertex]
+    v = spec.read_vertex
+    return read_along(initial_seed(slc), spec.sequence, [v])[v]
 
 
 # ----------------------------------------------------- classical q-char oracle
@@ -104,11 +104,12 @@ def classical_fm_qchar(c: CartanData, i: int, r: int) -> dict[tuple, int]:
     dividing out the root monomial anchored at that factor.  This plain
     saturation gives every monomial multiplicity 1, which is right only for
     minuscule nodes, so any other node i is refused with RepCharError, and
-    so is a module of more than FM_BUDGET monomials."""
-    if i not in MINUSCULE_NODES[c.dynkin_type](c.rank):
-        raise RepCharError(f"node {i} of {c.dynkin_type}{c.rank} is not minuscule")
+    so is a module of more than FM_BUDGET monomials.  A node out of range
+    raises CartanError first."""
     if not c.in_ihat(i, r):
         raise RepCharError(f"highest Y-key ({i},{r}) lies off the vertex lattice")
+    if i not in MINUSCULE_NODES[c.dynkin_type](c.rank):
+        raise RepCharError(f"node {i} of {c.dynkin_type}{c.rank} is not minuscule")
     start = frozenset({((i, r), 1)})
     seen = {start}
     queue = [start]

@@ -24,6 +24,7 @@ from .qcluster import (
     initial_seed,
     mutate,
     mutate_along,
+    read_along,
 )
 from .qtorus import (
     TorusElement,
@@ -238,7 +239,7 @@ def crit_4_sl3_classical() -> str:
         want = {make_key(m): 1 for m in monos}
         got = classical_mutate_along(slc, SL3_PATH[:step], read=[vertex])[vertex]
         _require(evaluate_t1(got) == want, f"step {step} vertex {vertex}")
-        quantum = mutate_along(seed, SL3_PATH[:step], read=[vertex]).vars[vertex]
+        quantum = read_along(seed, SL3_PATH[:step], [vertex])[vertex]
         _require(
             evaluate_t1(quantum) == want,
             f"quantum t=1 mismatch at step {step} vertex {vertex}",

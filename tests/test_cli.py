@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,14 @@ class TestMutate:
         assert not out
         assert "(9, 9)" in err
 
+    @pytest.mark.parametrize("engine", [[], ["--t1"]], ids=["quantum", "t1"])
+    @pytest.mark.parametrize("path", ["", "(1,2);(1,0)"], ids=["empty", "later-step-frozen"])
+    def test_unknown_vertex_message(self, capsys, engine, path):
+        # the read vertex is refused before any step of the path is looked at
+        argv = ["mutate", "--type", "A", "--rank", "2", "--window", "-1:6",
+                "--path", path, "--vertex", "(9,9)", *engine]
+        assert run(capsys, argv) == (2, "", "error: vertex (9, 9) is not in this slice\n")
+
 
 class TestOracle:
     def test_a2(self, capsys):
@@ -205,6 +214,11 @@ class TestOracle:
         assert code == 2
         assert not out
         assert "minuscule" in err
+
+    @pytest.mark.parametrize("kind, rank, i", [("A", 2, 9), ("A", 2, 0), ("E", 8, 9)])
+    def test_node_out_of_range(self, capsys, kind, rank, i):
+        argv = ["oracle", "--type", kind, "--rank", str(rank), "--i", str(i), "--r", "0"]
+        assert run(capsys, argv) == (2, "", f"error: node {i} out of range for {kind}{rank}\n")
 
 
 class TestBaxterAndDrinfeld:
@@ -355,6 +369,10 @@ class TestVerifyAll:
 # the D4 (1,0) sequence
 D4_PATH = ("(1,6);(1,4);(1,2);(3,6);(3,4);(3,2);(4,6);(4,4);(4,2);(2,5);(2,3);(2,1);"
            "(1,6);(1,4);(3,6);(3,4);(4,6);(4,4);(2,5);(2,3);(1,6)")
+# the first 26 steps of the D5 (1,0) sequence, the benchmark's frontier op
+D5_26_PATH = ("(1,8);(1,6);(1,4);(1,2);(3,8);(3,6);(3,4);(3,2);(2,7);(2,5);(2,3);(2,1);"
+              "(4,7);(4,5);(4,3);(4,1);(5,7);(5,5);(5,3);(5,1);(1,8);(1,6);(1,4);(3,8);"
+              "(3,6);(3,4)")
 # sha256 of the whole stdout of each command: the printed bytes are part of
 # the interface, so any change to them fails here
 OUTPUT_SHA256 = {
@@ -383,12 +401,24 @@ OUTPUT_SHA256 = {
         "565ec8bbbc23cc2f773e216ed6ab327fc09bc7160620a9d58f9f7a096e1740aa",
     "mutate --type A --rank 2 --window -1:6 --path (1,4);(1,2);(2,3);(2,1);(1,4) --t1 --json":
         "019a4467a75182e45da59d5d6c43d88d326c1c140e43b3d99e834c4c576e9ec7",
+    # read runs: the last vertex of the path, another one it writes, and one
+    # it never writes
+    f"mutate --type D --rank 5 --window -1:10 --path {D5_26_PATH} --json":
+        "764f8b410ad4e1c5d57407c2fb8838fceb4f20f846c5cc2fafdfc7792777014e",
+    f"mutate --type D --rank 4 --window -1:8 --path {D4_PATH} --json":
+        "c66a0944858708a7ebc4d7d001b727979be9998241c10ef1c094aef9cbf4472d",
+    f"mutate --type D --rank 4 --window -1:8 --path {D4_PATH} --vertex (2,5) --json":
+        "269c23d2191b6084b361bd94d9e21966947e28f2d576dd8a9f9651baa639c17f",
+    f"mutate --type D --rank 4 --window -1:8 --path {D4_PATH} --vertex (2,5) --t1 --json":
+        "edd498b5bbd5cac4d46a3419cf351cbfa996d2363edfdb44504f2cfd2a987649",
+    'mutate --type A --rank 2 --N 1 --path "" --vertex (1,0) --json':
+        "2231b73b6e5783853905da045349365770cbda1148d48020fe71d5bac09eb679",
 }
 
 
 @pytest.mark.parametrize("command", OUTPUT_SHA256)
 def test_output_bytes_pinned(capsys, command):
-    code, out, err = run(capsys, command.split())
+    code, out, err = run(capsys, shlex.split(command))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]
 

@@ -20,6 +20,7 @@ from qgroth.qcluster import (
     initial_seed,
     mutate,
     mutate_along,
+    read_along,
 )
 from qgroth.quiver import QuiverError, build_slice, mutate_matrix
 from qgroth.repchar import default_window, mutation_sequence
@@ -203,6 +204,14 @@ CLOSURE_CASES = [("A", n, i) for n in (1, 2, 3, 4) for i in range(1, n + 1)] + [
 ]
 
 
+def _recorded_mutates(monkeypatch) -> list:
+    """The vertices of the qcluster.mutate calls made from now on, in order."""
+    calls = []
+    real = qcluster.mutate
+    monkeypatch.setattr(qcluster, "mutate", lambda seed, k: calls.append(k) or real(seed, k))
+    return calls
+
+
 class TestReadClosure:
     @pytest.mark.parametrize("label, rank, i", CLOSURE_CASES)
     def test_read_runs_agree_with_the_full_run(self, label, rank, i):
@@ -211,45 +220,59 @@ class TestReadClosure:
         full = mutate_along(seed0, spec.sequence)
         classical = classical_mutate_along(slc, spec.sequence)
         for v in set(spec.sequence):
-            seed = mutate_along(seed0, spec.sequence, read=[v])
-            assert seed.vars[v] == full.vars[v], v
-            assert classical_mutate_along(slc, spec.sequence, read=[v])[v] == classical[v], v
-            # B~ and Lambda mutate at every step, read or not
-            assert np.array_equal(seed.b_current, full.b_current)
-            assert np.array_equal(seed.lambda_current, full.lambda_current)
-            assert seed.history == full.history
+            assert read_along(seed0, spec.sequence, [v]) == {v: full.vars[v]}, v
+            assert classical_mutate_along(slc, spec.sequence, read=[v]) == {v: classical[v]}, v
 
     def test_skipped_vertex_is_dropped(self):
+        # a read run returns exactly the vertices it reads, in their order, so
+        # not the vertex of a step it skips; (2,7) is never written and (2,3)
+        # is skipped when only the sequence's own vertex is read
         slc, spec = _sequence_case("D", 4, 1)
-        read = spec.read_vertex
         seed0 = initial_seed(slc)
-        seed = mutate_along(seed0, spec.sequence, read=[read])
-        classical = classical_mutate_along(slc, spec.sequence, read=[read])
-        skipped = set(spec.sequence) - set(seed.vars)
-        assert skipped and skipped == set(spec.sequence) - set(classical)
-        for v in skipped:
-            with pytest.raises(KeyError):
-                seed.vars[v]
-        # a vertex the path never writes keeps its initial variable
-        unwritten = set(slc.vertices) - set(spec.sequence)
-        assert unwritten <= set(seed.vars)
-        for v in unwritten:
-            assert seed.vars[v] == seed0.vars[v]
+        full = mutate_along(seed0, spec.sequence)
+        classical = classical_mutate_along(slc, spec.sequence)
+        for read in ([spec.read_vertex], [(2, 7), (2, 3), spec.read_vertex]):
+            quantum = read_along(seed0, spec.sequence, read)
+            assert list(quantum) == read
+            assert quantum == {v: full.vars[v] for v in read}
+            t1 = classical_mutate_along(slc, spec.sequence, read=read)
+            assert list(t1) == read
+            assert t1 == {v: classical[v] for v in read}
+        assert quantum[(2, 7)] == seed0.vars[(2, 7)]
+        assert t1[(2, 7)] == classical_mutate_along(slc, [])[(2, 7)]
 
     def test_a_step_reads_its_own_vertex(self, a2):
         # the second mutation at k divides by the first one's variable
         slc = build_slice(a2, window=(-1, 6))
         seed0 = initial_seed(slc)
         k = SL3_PATH[0]
-        assert mutate_along(seed0, [k, k], read=[k]).vars[k] == seed0.vars[k]
+        assert read_along(seed0, [k, k], [k]) == {k: seed0.vars[k]}
         assert (classical_mutate_along(slc, [k, k], read=[k])[k]
                 == classical_mutate_along(slc, [])[k])
 
-    def test_reading_nothing_runs_no_exchange(self, a2):
+    def test_reading_nothing_runs_no_exchange(self, a2, monkeypatch):
         slc = build_slice(a2, window=(-1, 6))
         seed0 = initial_seed(slc)
-        seed = mutate_along(seed0, SL3_PATH, read=[])
-        assert seed.vars == {v: x for v, x in seed0.vars.items() if v not in SL3_PATH}
+        calls = _recorded_mutates(monkeypatch)
+        assert read_along(seed0, SL3_PATH, []) == {}
+        assert classical_mutate_along(slc, SL3_PATH, read=[]) == {}
+        assert calls == []
+
+    @pytest.mark.parametrize("engine", ["quantum", "classical"])
+    def test_a_read_vertex_outside_the_slice_is_refused_first(self, a2, monkeypatch, engine):
+        # refused before any step runs, even with a later step that is invalid
+        slc = build_slice(a2, window=(-1, 6))
+        calls = _recorded_mutates(monkeypatch)
+        divisions = []
+        monkeypatch.setattr(qcluster, "cp_exact_div", lambda a, d: divisions.append(d))
+        path = (*SL3_PATH, (1, 0))  # (1,0) is frozen in this window
+        read = [SL3_PATH[0], (9, 9), (8, 8)]
+        with pytest.raises(QuiverError, match=r"^vertex \(9, 9\) is not in this slice$"):
+            if engine == "quantum":
+                read_along(initial_seed(slc), path, read)
+            else:
+                classical_mutate_along(slc, path, read=read)
+        assert calls == [] and divisions == []
 
     @pytest.mark.parametrize(
         "label, rank, i, runs, steps",
@@ -304,56 +327,16 @@ class TestReadClosure:
         mid = mutate_along(seed0, p[:7])
         full = mutate_along(seed0, p)
         for v in set(p[7:]):
-            assert mutate_along(mid, p[7:], read=[v]).vars[v] == full.vars[v], v
+            assert read_along(mid, p[7:], [v]) == {v: full.vars[v]}, v
 
     def test_each_step_that_runs_goes_through_mutate(self, monkeypatch):
         # a trace that wraps qcluster.mutate sees every exchange that runs
         slc, spec = _sequence_case("D", 4, 1)
-        calls = []
-        real = qcluster.mutate
-        monkeypatch.setattr(qcluster, "mutate", lambda seed, k: calls.append(k) or real(seed, k))
-        mutate_along(initial_seed(slc), spec.sequence, read=[spec.read_vertex])
+        calls = _recorded_mutates(monkeypatch)
+        read_along(initial_seed(slc), spec.sequence, [spec.read_vertex])
         steps = qcluster._steps(slc, slc.b_matrix, spec.sequence, [spec.read_vertex])
         assert calls == [k for k, *_, r in steps if r]
         assert len(calls) == 15
-
-    @staticmethod
-    def _d4_part():
-        # reading step 7's vertex drops the variables at (1,2), (1,4), (1,6),
-        # (3,2), (3,4) and (3,6)
-        slc, spec = _sequence_case("D", 4, 1)
-        p = spec.sequence
-        return mutate_along(initial_seed(slc), p[:7], read=[p[6]]), p
-
-    def test_a_step_reading_a_dropped_variable_is_refused_at_planning(self, monkeypatch):
-        part, p = self._d4_part()
-        assert {(1, 6), (1, 4)}.isdisjoint(part.vars)
-        calls = []
-        real = qcluster.mutate
-        monkeypatch.setattr(qcluster, "mutate", lambda seed, k: calls.append(k) or real(seed, k))
-        with pytest.raises(MutationError) as info:
-            mutate_along(part, p[7:], read=[p[-1]])
-        err = info.value
-        assert (err.vertex, err.path) == ((2, 5), p[:9])
-        assert str(err) == (
-            f"mutation at (2, 5) after path {list(p[:9])} reads the variable at (1, 6), "
-            "dropped by an earlier run with read"
-        )
-        assert calls == []
-
-    def test_mutate_refuses_a_dropped_variable(self):
-        part, p = self._d4_part()
-        with pytest.raises(MutationError, match=r"variable at \(1, 6\), dropped") as info:
-            mutate(part, (1, 6))
-        assert (info.value.vertex, info.value.path) == ((1, 6), p[:7])
-
-    def test_a_run_reading_no_dropped_variable_goes_ahead(self):
-        part, p = self._d4_part()
-        # steps 7 and 8 run, and read none of the dropped variables
-        seed = mutate_along(part, p[7:9], read=p[7:9])
-        full = mutate_along(initial_seed(part.slice), p[:9])
-        for v in p[7:9]:
-            assert seed.vars[v] == full.vars[v], v
 
 
 class TestMutationFailures:

@@ -1,7 +1,7 @@
 import pytest
 
 from qgroth import repchar
-from qgroth.cartan import build_cartan
+from qgroth.cartan import CartanError, build_cartan
 from qgroth.qcluster import initial_seed, mutate_along
 from qgroth.quiver import build_slice
 from qgroth.qtorus import TorusElement, embed_Y, evaluate_t1
@@ -216,6 +216,12 @@ class TestClassicalOracle:
         r = 0 if c.in_ihat(i, 0) else 1
         with pytest.raises(RepCharError, match="minuscule"):
             classical_fm_qchar(c, i, r)
+
+    @pytest.mark.parametrize("label,rank,i", [("A", 2, 9), ("A", 2, 0), ("E", 8, 9)])
+    def test_node_out_of_range_rejected(self, label, rank, i):
+        c = build_cartan(label, rank)
+        with pytest.raises(CartanError, match=f"^node {i} out of range for {label}{rank}$"):
+            classical_fm_qchar(c, i, 0)
 
 
 class TestBaxter:
