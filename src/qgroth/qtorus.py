@@ -23,26 +23,26 @@ therefore has every exponent, vertex by vertex, in the finite degree box
 strictly decreasing lex order, so it meets each point of the box at most
 once; a candidate outside the box certifies at once that no quotient exists.
 
-Each element is stored dense in a frame: vertices in reading order, with
-the skew form on them, read whole in one call to cartan.skew_form when a
-product or a division first needs it, so sums, moves, comparisons and
-printing never read it.
-Exponents are tuples over the frame, negated, so plain tuple order is the
-reverse of the lex order.  The dense terms are the one copy of an element's
-terms: the constructor sums the given terms into fresh dicts, so keys of one
-monomial add up and zero exponents vanish, and terms, the ExpKey view, is
-built from them only when read.  Printing never reads it: to_text and
-sorted_terms render each term from its dense key, one at a time.  A seed's
+Each element keeps its dense terms, _dense, in a frame, _frame, and only
+this module reads either.  A frame holds vertices in reading order and the
+skew form on them, read whole in one call to cartan.skew_form when a product
+or a division first needs it, so sums, moves, comparisons and printing never
+read it.  Exponents are tuples over the frame, negated, so plain tuple order
+is the reverse of the lex order.  The dense terms are the one copy of an
+element's terms: the constructor sums the given terms into fresh dicts, so
+keys of one monomial add up and zero exponents vanish, and terms, the ExpKey
+view, is built from them only when read.  Printing never reads it: to_text
+and sorted_terms render term by term from the dense keys.  A seed's
 variables share one frame built with the seed's Lambda as its skew form, so
-their arithmetic converts nothing and reads no skew form.  Coefficient dicts
-are never written once their element is built, so a sum shares those of
-every exponent only one operand has, and a product lets equal coefficients
-share one dict.  Operands in two frames meet in either one when it holds
-the other's vertices, else in a new frame on their union.  By skew symmetry
-a product or a division reads only the twist rows of its right factor or
-divisor, built once per call.  The classical (t=1) engine uses the same
-TorusElement with no Cartan data: an untwisted frame, where the same product
-and division run at zero twist.
+their arithmetic converts nothing and reads no skew form.  No coefficient
+dict is written once its element is built, and terms and sorted_terms hand
+each out read-only, so a sum shares those of every exponent only one operand
+has, and a product lets equal coefficients share one dict.  Operands in two
+frames meet in either one when it holds the other's vertices, else in a new
+frame on their union.  By skew symmetry a product or a division reads only
+the twist rows of its right factor or divisor, built once per call.  The
+classical (t=1) engine uses the same TorusElement with no Cartan data: an
+untwisted frame, where the same product and division run at zero twist.
 
 TERM_BUDGET caps the memory of one operation.  A star product counts its
 terms as it grows, after each term of its left factor, a division counts
@@ -260,47 +260,49 @@ def lambda_of(c: CartanData, e: ExpKey | dict, f: ExpKey | dict) -> int:
 
 class TorusElement:
     """Finite sum of commutative monomials with Laurent coefficients in v,
-    stored dense in a frame (module docstring).  Immutable.  cartan None
-    is the untwisted ring: the star product is the commutative (t=1)
-    product.  Elements over different Cartan data, or one twisted and one
-    untwisted, never meet in one operation."""
+    stored in _dense and _frame, which only this module reads.  Immutable:
+    its coefficients leave it read-only.  cartan None is the untwisted ring,
+    whose star product is the commutative (t=1) product.  Elements over
+    different Cartan data, or twisted and untwisted, never meet."""
 
-    __slots__ = ("frame", "dense", "_terms")
+    __slots__ = ("_frame", "_dense", "_terms")
 
     def __init__(self, cartan: CartanData | None, terms: Mapping[ExpKey, TCoeff]):
         """The sum of the given terms, added into fresh coefficient dicts."""
         nonzero = [(k, c) for k, c in terms.items() if any(c.values())]
-        self.frame = frame = _Frame({u for k, _ in nonzero for u, e in k if e}, cartan)
+        self._frame = frame = _Frame({u for k, _ in nonzero for u, e in k if e}, cartan)
         dense: dict[tuple[int, ...], TCoeff] = {}
         for k, c in nonzero:
             _add_product(dense.setdefault(frame.dense(k), {}), c, {0: 1})
-        self.dense = {k: c for k, c in dense.items() if c}
+        self._dense = {k: c for k, c in dense.items() if c}
         self._terms = None
 
     @classmethod
     def _of(cls, frame: _Frame, dense: dict) -> "TorusElement":
         """The element with these dense terms in frame."""
         el = cls.__new__(cls)
-        el.frame, el.dense, el._terms = frame, dense, None
+        el._frame, el._dense, el._terms = frame, dense, None
         return el
 
     @property
     def cartan(self) -> CartanData | None:
-        return self.frame.cartan
+        return self._frame.cartan
 
     @property
-    def terms(self) -> Mapping[ExpKey, TCoeff]:
-        """The terms keyed by ExpKey: a read-only view, built on first read."""
+    def terms(self) -> Mapping[ExpKey, Mapping[int, int]]:
+        """The terms keyed by ExpKey, each coefficient read-only: a view built on first read."""
         if self._terms is None:
-            key = self.frame.sparse_key
-            self._terms = MappingProxyType({key(k): c for k, c in self.dense.items()})
+            key = self._frame.sparse_key
+            self._terms = MappingProxyType(
+                {key(k): MappingProxyType(c) for k, c in self._dense.items()}
+            )
         return self._terms
 
     def _join(self, other: "TorusElement") -> tuple["TorusElement", "TorusElement"]:
         """self and other in one frame: the frame of either one when it
         holds the other's vertices, else a new frame on their union."""
         self._check_peer(other)
-        fa, fb = self.frame, other.frame
+        fa, fb = self._frame, other._frame
         if fa is fb or fa.verts == fb.verts:
             return self, other
         if fa.col.keys() <= fb.col.keys():
@@ -313,9 +315,9 @@ class TorusElement:
     def _moved(self, frame: _Frame) -> "TorusElement":
         """This element in a frame that holds its frame's vertices."""
         # column -1 reads the 0 appended to each key
-        src = [self.frame.col.get(u, -1) for u in frame.verts]
+        src = [self._frame.col.get(u, -1) for u in frame.verts]
         return TorusElement._of(
-            frame, {tuple(map((k + (0,)).__getitem__, src)): c for k, c in self.dense.items()}
+            frame, {tuple(map((k + (0,)).__getitem__, src)): c for k, c in self._dense.items()}
         )
 
     # -- constructors
@@ -340,13 +342,13 @@ class TorusElement:
 
     # -- ring structure
     def __bool__(self) -> bool:
-        return bool(self.dense)
+        return bool(self._dense)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusElement) or self.cartan is not other.cartan:
             return False
         x, y = self._join(other)
-        return x.dense == y.dense
+        return x._dense == y._dense
 
     def __hash__(self):
         return hash(frozenset((k, frozenset(c.items())) for k, c in self.terms.items()))
@@ -355,8 +357,8 @@ class TorusElement:
         # no coefficient dict is written after its element is built, so the
         # sum shares those of every exponent only one operand has
         x, y = self._join(other)
-        out = dict(x.dense)
-        for k, c in y.dense.items():
+        out = dict(x._dense)
+        for k, c in y._dense.items():
             old = out.get(k)
             if old is None:
                 out[k] = c
@@ -366,7 +368,7 @@ class TorusElement:
                 del out[k]
         if len(out) > TERM_BUDGET:
             raise TermBudgetError("a sum", len(out))
-        return TorusElement._of(x.frame, out)
+        return TorusElement._of(x._frame, out)
 
     def __neg__(self) -> "TorusElement":
         return self.scaled(-1)
@@ -377,51 +379,51 @@ class TorusElement:
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         """Star product: comm(e) * comm(f) = v^Lambda(e,f) comm(e+f)."""
         x, y = self._join(other)
-        return TorusElement._of(x.frame, _star(x.dense, y.dense, y.frame.twists(y.dense)))
+        return TorusElement._of(x._frame, _star(x._dense, y._dense, y._frame.twists(y._dense)))
 
     def scaled(self, coeff: TCoeff | int) -> "TorusElement":
         if isinstance(coeff, int):
             coeff = {0: coeff}
         return TorusElement._of(
-            self.frame,
-            {k: p for k, c in self.dense.items() if (p := _add_product({}, c, coeff))},
+            self._frame,
+            {k: p for k, c in self._dense.items() if (p := _add_product({}, c, coeff))},
         )
 
     def bar(self) -> "TorusElement":
         """Bar involution: fixes commutative monomials, inverts v."""
         return TorusElement._of(
-            self.frame, {k: {-p: n for p, n in c.items()} for k, c in self.dense.items()}
+            self._frame, {k: {-p: n for p, n in c.items()} for k, c in self._dense.items()}
         )
 
     # -- term access
     def lead_key(self) -> ExpKey:
-        if not self.dense:
+        if not self._dense:
             raise TorusError("zero element has no leading term")
-        return self.frame.sparse_key(min(self.dense))
+        return self._frame.sparse_key(min(self._dense))
 
     def trail_key(self) -> ExpKey:
-        if not self.dense:
+        if not self._dense:
             raise TorusError("zero element has no trailing term")
-        return self.frame.sparse_key(max(self.dense))
+        return self._frame.sparse_key(max(self._dense))
 
     def _check_peer(self, other: "TorusElement") -> None:
         if not isinstance(other, TorusElement) or other.cartan is not self.cartan:
             raise TorusError("operands must live over the same Cartan data")
 
     # -- rendering
-    def sorted_terms(self, limit: int | None = None) -> Iterator[tuple[ExpKey, TCoeff]]:
-        """(key, coefficient) of each term, or of the leading limit terms,
-        in descending lex order along the reading order.  Each key is built
-        from its dense key when reached, so rendering builds neither the
-        terms view nor a list of ExpKeys."""
-        dense, sparse_key = self.dense, self.frame.sparse_key
+    def sorted_terms(self, limit: int | None = None) -> Iterator[tuple[ExpKey, Mapping[int, int]]]:
+        """(key, read-only coefficient) of each term, or of the leading limit
+        terms, in descending lex order along the reading order.  Each key is
+        built from its dense key when reached, so rendering builds neither
+        the terms view nor a list of ExpKeys."""
+        dense, sparse_key = self._dense, self._frame.sparse_key
         for k in sorted(dense) if limit is None else nsmallest(limit, dense):
-            yield sparse_key(k), dense[k]
+            yield sparse_key(k), MappingProxyType(dense[k])
 
     def to_text(self, limit: int | None = None) -> str:
         """The element as text; with limit, its leading limit terms and a
         count of the rest."""
-        if not self.dense:
+        if not self._dense:
             return "0"
         parts = []
         for k, coeff in self.sorted_terms(limit):
@@ -434,7 +436,7 @@ class TorusElement:
                 parts.append(f"{tc_text(coeff)}*{factors}")
             else:
                 parts.append(tc_text(coeff))
-        rest = len(self.dense) - len(parts)
+        rest = len(self._dense) - len(parts)
         return " + ".join(parts) + (f" … and {rest} more terms" if rest else "")
 
     def __repr__(self) -> str:
@@ -495,8 +497,8 @@ def a_monomial(c: CartanData, i: int, r: int) -> dict[Vertex, int]:
 
 def evaluate_t1(a: TorusElement) -> dict[ExpKey, int]:
     """Evaluate at t=1: each coefficient collapses to its integer value."""
-    key = a.frame.sparse_key
-    sums = ((k, sum(c.values())) for k, c in a.dense.items())
+    key = a._frame.sparse_key
+    sums = ((k, sum(c.values())) for k, c in a._dense.items())
     return {key(k): n for k, n in sums if n}
 
 
@@ -609,5 +611,5 @@ def exact_left_divide(a: TorusElement, d: TorusElement) -> TorusElement:
     if not d:
         raise TorusError("division by zero")
     x, y = a._join(d)
-    rows = y.frame.twists(y.dense)
-    return TorusElement._of(x.frame, _divide(x.frame, x.dense, y.dense, rows))
+    rows = y._frame.twists(y._dense)
+    return TorusElement._of(x._frame, _divide(x._frame, x._dense, y._dense, rows))

@@ -232,9 +232,9 @@ def thinness_flatten_check(c: CartanData, i: int, r: int) -> Verdict:
     must be the constant 1 (thin module, trivial t-powers)."""
     if c.dynkin_type != "A":
         raise RepCharError("the thinness check applies to type A only")
-    dense = fundamental_qt_character(c, i, r).dense
-    bad = sum(coeff != {0: 1} for coeff in dense.values())
+    terms = list(fundamental_qt_character(c, i, r).sorted_terms())
+    bad = sum(coeff != {0: 1} for _, coeff in terms)
     label = f"thin A{c.rank} ({i},{r})"
     if bad:
         return (label, False, f"{bad} monomials with nontrivial coefficients")
-    return (label, True, f"{len(dense)} monomials")
+    return (label, True, f"{len(terms)} monomials")

@@ -289,7 +289,7 @@ def crit_7_type_a_theorem() -> str:
         for i, r in type_a_origins(c):
             value = fundamental_qt_character(c, i, r)
             where = f"A{rank} ({i},{r})"
-            _require(all(coeff == {0: 1} for coeff in value.dense.values()), f"{where} not thin")
+            _require(all(coef == {0: 1} for _, coef in value.sorted_terms()), f"{where} not thin")
             _require(value.bar() == value, f"{where} not bar-invariant")
             _require(evaluate_t1(value) == fm_qchar_embedded(c, i, r), f"{where} oracle mismatch")
     return "A1..A4, all nodes, two levels each"
@@ -390,7 +390,7 @@ def crit_10_properties() -> str:
     _require(back.vars == seed0.vars, "quantum involution")
     final = mutate_along(seed0, SL3_PATH)
     for v, el in final.vars.items():
-        for coeff in el.dense.values():
+        for _, coeff in el.sorted_terms():
             _require(all(n > 0 for n in coeff.values()), f"positivity at {v}")
             _require(len({k % 2 for k in coeff}) <= 1, f"t-parity at {v}")
     return "200 random cases per law, seed fixed"

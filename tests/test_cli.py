@@ -260,7 +260,7 @@ class TestThinCheck:
             return real(c, i, r).scaled({2: 1})
 
         monkeypatch.setattr(repchar, "fundamental_qt_character", times_t)
-        n = len(real(build_cartan("A", 3), 2, 1).dense)
+        n = len(real(build_cartan("A", 3), 2, 1).terms)
         code, out, _ = run(
             capsys, ["thin-check", "--type", "A", "--rank", "3", "--i", "2", "--r", "1"]
         )
@@ -514,11 +514,15 @@ class TestTermBudget:
 # object, which json.dumps(..., sort_keys=True) then prints.
 
 def ref_sorted_keys(x):
-    return [x.frame.sparse_key(k) for k in sorted(x.dense)]
+    """The keys of x.terms, in ascending order of their negated exponent
+    vectors over the union of their vertices in reading order (level
+    descending, node ascending)."""
+    verts = sorted({u for k in x.terms for u, _ in k}, key=lambda u: (-u[1], u[0]))
+    return sorted(x.terms, key=lambda k: [-dict(k).get(u, 0) for u in verts])
 
 
 def ref_to_text(x):
-    if not x.dense:
+    if not x:
         return "0"
     parts = []
     for k in ref_sorted_keys(x):
@@ -564,7 +568,7 @@ def printed_values(draw, label):
     if draw(st.booleans()):
         z = next(iter(seed.vars.values()))
         out = exact_left_divide(z, z) * out
-        assert out.frame is z.frame
+        assert out._frame is z._frame
     return out
 
 

@@ -408,7 +408,7 @@ class TestMutationFailures:
         assert len(message) < 2000
         assert err.reason in message
         assert "5040-term numerator" in message and "36-term divisor" in message
-        rest = len(err.remainder.dense) - NonExactDivision.SHOWN_TERMS
+        rest = len(err.remainder.terms) - NonExactDivision.SHOWN_TERMS
         assert rest > 0 and message.endswith(f" … and {rest} more terms")
 
 

@@ -4,7 +4,7 @@ from qgroth import repchar
 from qgroth.cartan import CartanError, build_cartan
 from qgroth.qcluster import initial_seed, mutate_along
 from qgroth.quiver import build_slice
-from qgroth.qtorus import TorusElement, embed_Y, evaluate_t1
+from qgroth.qtorus import TorusElement, embed_Y, evaluate_t1, make_key
 from qgroth.repchar import (
     RepCharError,
     baxter_check,
@@ -133,6 +133,40 @@ def test_spectral_shift_covariance(kind, rank, i):
     if (kind, i) == ("D", 2):
         # a coefficient t + t^-1 (v-exponents 2 and -2) is translated as it is
         assert {2: 1, -2: 1} in base.terms.values()
+
+
+# (type, rank, sigma as the images of nodes 1..rank, origin, image): sigma is
+# a diagram automorphism, and the image lies at (sigma(i), r + delta)
+AUTOMORPHISM_CASES = [
+    ("D", 4, (3, 2, 1, 4), (1, 0), (3, 0)),
+    # the 28-monomial character with a coefficient t + t^-1
+    ("D", 4, (3, 2, 1, 4), (2, 1), (2, 1)),
+    ("D", 4, (4, 2, 3, 1), (1, 0), (4, 0)),
+    ("D", 4, (1, 2, 4, 3), (3, 0), (4, 0)),
+    ("D", 5, (1, 2, 3, 5, 4), (4, 1), (5, 1)),
+    ("A", 3, (3, 2, 1), (1, 0), (3, 0)),
+    ("A", 4, (4, 3, 2, 1), (1, 0), (4, 1)),
+    ("A", 4, (4, 3, 2, 1), (2, 1), (3, 2)),
+    ("A", 4, (4, 3, 2, 1), (2, 1), (3, 0)),
+    ("A", 5, (5, 4, 3, 2, 1), (2, 1), (4, 1)),
+]
+
+
+@pytest.mark.parametrize("kind, rank, sigma, origin, image", AUTOMORPHISM_CASES)
+def test_diagram_automorphism_covariance(kind, rank, sigma, origin, image):
+    # relabelling nodes by sigma and levels by delta maps the character at
+    # (i, r) onto the one at (sigma(i), r + delta), t-power by t-power
+    c = build_cartan(kind, rank)
+    (i, r), delta = origin, image[1] - origin[1]
+    assert image[0] == sigma[i - 1]
+    base = fundamental_qt_character(c, i, r)
+    moved = {
+        make_key({(sigma[j - 1], s + delta): e for (j, s), e in k}): coeff
+        for k, coeff in base.terms.items()
+    }
+    assert TorusElement(c, moved) == fundamental_qt_character(c, *image)
+    if (kind, rank, origin) == ("D", 4, (2, 1)):
+        assert len(base.terms) == 28 and {2: 1, -2: 1} in base.terms.values()
 
 
 class TestClassicalOracle:
