@@ -11,6 +11,19 @@ Modules:
   cli      - command-line front end (`qgroth`)
 """
 
+import os as _os
+
+# Every qgroth array is int64, which numpy never sends through BLAS, yet OpenBLAS
+# starts a thread per core that spins idle unless OPENBLAS_NUM_THREADS, read only
+# when numpy loads it, says otherwise.  A caller's value or loaded numpy wins.
+_caller_set = "OPENBLAS_NUM_THREADS" in _os.environ
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+try:
+    import numpy as _numpy  # noqa: F401
+finally:
+    if not _caller_set:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .cartan import CartanData, build_cartan, ctilde, f_form, n_form
 from .quiver import QuiverSlice, build_slice, e_matrix, f_matrix, mutate_matrix
 from .compat import build_lambda, check_compatible, mutate_lambda
