@@ -48,6 +48,7 @@ from .repchar import (
     classical_fm_qchar,
     drinfeld_double_check,
     fundamental_qt_character,
+    fundamental_qt_characters,
     mutation_sequence,
     thinness_flatten_check,
 )

@@ -10,6 +10,7 @@ given invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -330,11 +331,18 @@ def _add_type_rank(p):
     p.add_argument("--rank", required=True, type=int)
 
 
+def _add_origin(p):
+    _add_type_rank(p)
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+
+
 def _add_slice_args(p):
     p.add_argument("--N", type=int, default=None, help="symmetric slice index")
     p.add_argument("--window", default=None, help="level window rmin:rmax")
 
 
+@functools.cache  # built at the first main call, once per process
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qgroth",
@@ -370,20 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", action="store_true", help="classical engine at t=1")
 
     p = mk("sequence", cmd_sequence, "fundamental-character mutation sequence")
-    _add_type_rank(p)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _add_origin(p)
 
     p = mk("fund-char", cmd_fund_char, "fundamental (q,t)-character")
-    _add_type_rank(p)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _add_origin(p)
     p.add_argument("--t1", action="store_true")
 
     p = mk("oracle", cmd_oracle, "classical q-character oracle")
-    _add_type_rank(p)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _add_origin(p)
 
     p = mk("baxter", cmd_baxter, "quantized Baxter relation (rank 1)")
     p.add_argument("--r", type=int, required=True)
@@ -392,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-sign", dest="q_sign", type=int, default=-1, choices=[-1, 1])
 
     p = mk("thin-check", cmd_thin_check, "type-A thinness of a (q,t)-character")
-    _add_type_rank(p)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _add_origin(p)
 
     p = mk("verify-all", cmd_verify_all, "run the acceptance battery")
     p.add_argument("--quick", action="store_true")
@@ -406,17 +406,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # argparse misreads window values like "-5:2" as flags; glue them on
-    merged: list[str] = []
-    skip = False
-    for pos, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--window" and pos + 1 < len(argv):
-            merged.append(f"--window={argv[pos + 1]}")
-            skip = True
-        else:
-            merged.append(tok)
+    merged, rest = [], list(argv)
+    while rest:
+        tok = rest.pop(0)
+        merged.append(f"--window={rest.pop(0)}" if tok == "--window" and rest else tok)
     args = build_parser().parse_args(merged)
     try:
         code = args.fn(args)

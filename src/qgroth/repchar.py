@@ -10,6 +10,7 @@ Drinfeld-double relation battery, and the type-A thinness check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .cartan import CartanData, build_cartan
@@ -54,12 +55,7 @@ def mutation_sequence(c: CartanData, i: int, r: int) -> MutationSequenceSpec:
             eps = 0 if c.node_class(j) == c.node_class(i) else 1
             seq.extend((j, top - eps - 2 * l) for l in range(k))
     seq.append((i, top))
-    return MutationSequenceSpec(
-        origin=(i, r),
-        h_prime=h_prime,
-        column_order=column_order,
-        sequence=tuple(seq),
-    )
+    return MutationSequenceSpec((i, r), h_prime, column_order, tuple(seq))
 
 
 # ------------------------------------------------------ fundamental characters
@@ -73,13 +69,33 @@ def default_window(c: CartanData, i: int, r: int) -> tuple[int, int]:
     return (r - 1, r + 2 * h_prime + 2)
 
 
+def fundamental_qt_characters(
+    c: CartanData, r: int, nodes: Sequence[int]
+) -> dict[int, TorusElement]:
+    """The characters at origins (j, r), j in nodes, by node, from one run: the
+    sequence from (i, r), i = nodes[0], on its default window, with its last
+    step (i, top) replaced by (j, top) for each j.  Each round mutates i's
+    class before the other nodes, and nodes of one class at one level are not
+    adjacent, so only that step depends on j.  Nodes lie on the lattice at r
+    exactly when they share a class; before any step runs, an off-lattice
+    (j, r) raises RepCharError and a node out of range CartanError."""
+    for j in nodes:
+        if not c.in_ihat(j, r):
+            raise RepCharError(f"origin ({j},{r}) lies off the vertex lattice")
+    if not nodes:
+        return {}
+    spec = mutation_sequence(c, nodes[0], r)
+    top = spec.read_vertex[1]
+    read = list(dict.fromkeys((j, top) for j in nodes))  # a repeat would undo its step
+    slc = build_slice(c, window=default_window(c, nodes[0], r))
+    chars = read_along(initial_seed(slc), spec.sequence[:-1] + tuple(read), read)
+    return {j: chi for (j, _), chi in chars.items()}
+
+
 def fundamental_qt_character(c: CartanData, i: int, r: int) -> TorusElement:
-    """Run the mutation sequence from the initial seed of the default window
-    and return the variable it reads, the one at (i, r + 2h')."""
-    spec = mutation_sequence(c, i, r)
-    slc = build_slice(c, window=default_window(c, i, r))
-    v = spec.read_vertex
-    return read_along(initial_seed(slc), spec.sequence, [v])[v]
+    """The character at origin (i, r): the variable that the mutation sequence
+    reads at (i, r + 2h'), the one-node case of fundamental_qt_characters."""
+    return fundamental_qt_characters(c, r, [i])[i]
 
 
 # ----------------------------------------------------- classical q-char oracle

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from qgroth import compat, qtorus, verify
+from qgroth import compat, qcluster, qtorus, repchar, verify
 from qgroth.cartan import build_cartan
 from qgroth.qtorus import TorusElement
 
@@ -131,7 +131,8 @@ def test_random_element_is_the_sum_of_its_monomials():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of the slices, Cartan data, frames and skew forms built."""
+    """Counts of the slices, Cartan data, frames and skew forms built, and of
+    the exchanges run."""
     counts = collections.Counter()
 
     def counted(name, real):
@@ -143,6 +144,9 @@ def builds(monkeypatch):
 
     for name in ("build_slice", "build_cartan"):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    # the characters' slices, and every exchange that runs
+    monkeypatch.setattr(repchar, "build_slice", counted("build_slice", repchar.build_slice))
+    monkeypatch.setattr(qcluster, "mutate", counted("mutate", qcluster.mutate))
     for module in (qtorus, compat):
         monkeypatch.setattr(module, "skew_form", counted("skew_form", module.skew_form))
     monkeypatch.setattr(qtorus._Frame, "__init__", counted("frame", qtorus._Frame.__init__))
@@ -156,6 +160,8 @@ def builds(monkeypatch):
         ("crit_3_compat_sweep", {"build_slice": 24, "build_cartan": 8}),
         # 16 (type, N) slices for the matrix trials, and the A2 window
         ("crit_10_properties", {"build_slice": 17, "build_cartan": 8}),
+        # one path per (rank, level, class), 14 in all, not one per character (20)
+        ("crit_7_type_a_theorem", {"build_slice": 14, "build_cartan": 4, "mutate": 114}),
     ],
 )
 def test_criterion_builds_each_fixture_once(builds, criterion, want):

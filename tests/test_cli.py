@@ -617,3 +617,12 @@ class TestValueOutput:
                 "lhs": ref_to_json_obj(lhs)["terms"], "rhs": ref_to_json_obj(rhs)["terms"]}
         got = printed(_emit, argparse.Namespace(json=True), obj, "")
         assert got == json.dumps(want, sort_keys=True) + "\n"
+
+
+class TestParser:
+    def test_built_once_at_the_first_call(self, capsys):
+        cli.build_parser.cache_clear()
+        argv = ["sequence", "--type", "A", "--rank", "2", "--i", "1", "--r", "0"]
+        assert run(capsys, argv) == run(capsys, argv)
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

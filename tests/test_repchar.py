@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from qgroth import repchar
+from qgroth import qcluster, repchar
 from qgroth.cartan import CartanError, build_cartan
 from qgroth.qcluster import initial_seed, mutate_along
 from qgroth.quiver import build_slice
@@ -12,10 +14,11 @@ from qgroth.repchar import (
     drinfeld_double_check,
     fm_qchar_embedded,
     fundamental_qt_character,
+    fundamental_qt_characters,
     mutation_sequence,
     thinness_flatten_check,
 )
-from qgroth.verify import A2_SEQUENCE_GOLDEN, D4_SEQUENCE_GOLDEN, type_a_origins
+from qgroth.verify import A2_SEQUENCE_GOLDEN, D4_SEQUENCE_GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +29,26 @@ def a1():
 @pytest.fixture(scope="module")
 def a2():
     return build_cartan("A", 2)
+
+
+@functools.cache
+def cartan(kind, rank):
+    """One CartanData per type: torus values compare equal only on one."""
+    return build_cartan(kind, rank)
+
+
+@functools.cache
+def character(kind, rank, i, r):
+    """The one-node character at (i, r), computed once for every test that
+    reads it."""
+    return fundamental_qt_character(cartan(kind, rank), i, r)
+
+
+@pytest.fixture(scope="module")
+def d5_r1():
+    """D5's class {2,4,5} at r = 1 from one run, which the D5 tests at r = 1
+    read: about half the time of three one-node runs."""
+    return fundamental_qt_characters(cartan("D", 5), 1, [2, 4, 5])
 
 
 class TestMutationSequence:
@@ -83,7 +106,7 @@ class TestFundamentalCharacter:
     @pytest.mark.slow
     def test_d4_matches_oracle(self):
         c = build_cartan("D", 4)
-        char = fundamental_qt_character(c, 1, 0)
+        char = character("D", 4, 1, 0)
         assert evaluate_t1(char) == fm_qchar_embedded(c, 1, 0)
         assert len(char.terms) == 8
 
@@ -91,15 +114,15 @@ class TestFundamentalCharacter:
     @pytest.mark.parametrize("i", [3, 4])
     def test_d4_spin_nodes_match_oracle(self, i):
         c = build_cartan("D", 4)
-        char = fundamental_qt_character(c, i, 0)
+        char = character("D", 4, i, 0)
         assert evaluate_t1(char) == fm_qchar_embedded(c, i, 0)
         assert len(char.terms) == 8
 
     # the minuscule nodes of D5, 10 and 16 monomials
     @pytest.mark.parametrize("i, r, terms", [(1, 0, 10), (4, 1, 16), (5, 1, 16)])
-    def test_d5_minuscule_nodes_match_oracle(self, i, r, terms):
+    def test_d5_minuscule_nodes_match_oracle(self, d5_r1, i, r, terms):
         c = build_cartan("D", 5)
-        char = fundamental_qt_character(c, i, r)
+        char = d5_r1[i] if r == 1 else fundamental_qt_character(c, i, r)
         assert evaluate_t1(char) == fm_qchar_embedded(c, i, r)
         assert len(char.terms) == terms
 
@@ -125,10 +148,9 @@ SHIFT_CASES = [("A", n, i) for n in (1, 2, 3) for i in range(1, n + 1)] + [
 @pytest.mark.parametrize("kind, rank, i", SHIFT_CASES)
 def test_spectral_shift_covariance(kind, rank, i):
     # the character at (i, r + 2) is the one at (i, r), translated by 2
-    c = build_cartan(kind, rank)
-    r = next(r for r in (0, 1) if c.in_ihat(i, r))
-    base = fundamental_qt_character(c, i, r)
-    moved = fundamental_qt_character(c, i, r + 2)
+    r = next(r for r in (0, 1) if cartan(kind, rank).in_ihat(i, r))
+    base = character(kind, rank, i, r)
+    moved = character(kind, rank, i, r + 2)
     assert dict(moved.terms) == shifted_terms(base, 2)
     if (kind, i) == ("D", 2):
         # a coefficient t + t^-1 (v-exponents 2 and -2) is translated as it is
@@ -153,20 +175,93 @@ AUTOMORPHISM_CASES = [
 
 
 @pytest.mark.parametrize("kind, rank, sigma, origin, image", AUTOMORPHISM_CASES)
-def test_diagram_automorphism_covariance(kind, rank, sigma, origin, image):
+def test_diagram_automorphism_covariance(d5_r1, kind, rank, sigma, origin, image):
     # relabelling nodes by sigma and levels by delta maps the character at
     # (i, r) onto the one at (sigma(i), r + delta), t-power by t-power
-    c = build_cartan(kind, rank)
     (i, r), delta = origin, image[1] - origin[1]
     assert image[0] == sigma[i - 1]
-    base = fundamental_qt_character(c, i, r)
+
+    def chi(j, s):
+        return d5_r1[j] if (kind, rank, s) == ("D", 5, 1) else character(kind, rank, j, s)
+
+    base = chi(i, r)
     moved = {
         make_key({(sigma[j - 1], s + delta): e for (j, s), e in k}): coeff
         for k, coeff in base.terms.items()
     }
-    assert TorusElement(c, moved) == fundamental_qt_character(c, *image)
+    assert TorusElement(cartan(kind, rank), moved) == chi(*image)
     if (kind, rank, origin) == ("D", 4, (2, 1)):
         assert len(base.terms) == 28 and {2: 1, -2: 1} in base.terms.values()
+
+
+# (type, rank, class, level): each bipartite class of each type (A1 has one),
+# each at two levels
+CLASS_CASES = [
+    (kind, rank, k, r)
+    for kind, rank in [("A", n) for n in (1, 2, 3, 4, 5)] + [("D", 4)]
+    for k in ((0,) if rank == 1 else (0, 1))
+    for r in (k, k + 2)
+]
+
+
+class TestClassRun:
+    @pytest.mark.parametrize("kind, rank, k, r", CLASS_CASES)
+    def test_equals_the_one_node_runs(self, kind, rank, k, r):
+        c = cartan(kind, rank)
+        nodes = [i for i in c.nodes if c.node_class(i) == k]
+        chars = fundamental_qt_characters(c, r, nodes)
+        assert list(chars) == nodes
+        for i in nodes:
+            assert chars[i] == character(kind, rank, i, r), i
+
+    def test_d5_class_equals_the_one_node_runs(self, d5_r1):
+        assert list(d5_r1) == [2, 4, 5]
+        for i in (2, 4, 5):
+            assert d5_r1[i] == character("D", 5, i, 1), i
+        # chi(2,1) has 45 monomials, one of them with coefficient t + t^-1
+        coeffs = list(d5_r1[2].terms.values())
+        assert len(coeffs) == 45
+        assert [co for co in coeffs if co != {0: 1}] == [{2: 1, -2: 1}]
+
+    def test_one_node_is_the_class_function(self, monkeypatch):
+        c, calls = build_cartan("D", 4), []
+        real = repchar.fundamental_qt_characters
+        monkeypatch.setattr(
+            repchar, "fundamental_qt_characters",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        assert fundamental_qt_character(c, 3, 0) == real(c, 0, [3])[3]
+        assert calls == [(c, 0, [3])]
+
+    def test_a_repeated_node_is_read_once(self):
+        c = build_cartan("D", 4)
+        chars = fundamental_qt_characters(c, 0, [4, 1, 4])
+        assert list(chars) == [4, 1]
+        assert chars == fundamental_qt_characters(c, 0, [4, 1])
+
+    def test_no_nodes_run_nothing(self, a2, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qcluster, "mutate", lambda seed, k: calls.append(k))
+        assert fundamental_qt_characters(a2, 0, []) == {}
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "kind, rank, r, nodes, error, message",
+        [
+            # two classes: node 2 of D4 is off the lattice at an even level
+            ("D", 4, 0, [1, 3, 2], RepCharError, r"^origin \(2,0\) lies off"),
+            ("D", 4, 1, [2, 1], RepCharError, r"^origin \(1,1\) lies off"),
+            ("D", 4, 0, [1, 9], CartanError, r"^node 9 out of range for D4$"),
+            ("D", 4, 0, [9], CartanError, r"^node 9 out of range for D4$"),
+            ("A", 2, 1, [1], RepCharError, r"^origin \(1,1\) lies off"),
+        ],
+    )
+    def test_refused_before_any_step(self, monkeypatch, kind, rank, r, nodes, error, message):
+        calls = []
+        monkeypatch.setattr(qcluster, "mutate", lambda seed, k: calls.append(k))
+        with pytest.raises(error, match=message):
+            fundamental_qt_characters(build_cartan(kind, rank), r, nodes)
+        assert calls == []
 
 
 class TestClassicalOracle:
@@ -186,9 +281,11 @@ class TestClassicalOracle:
     def test_type_a_multiplicity_one(self):
         for rank in (1, 2, 3, 4):
             c = build_cartan("A", rank)
-            for i, r in type_a_origins(c):
-                chi = classical_fm_qchar(c, i, r)
-                assert all(m == 1 for m in chi.values())
+            # crit_7's origins: every node at each level of -2 .. 1 on its lattice
+            for r in (-2, -1, 0, 1):
+                for i in [i for i in c.nodes if c.in_ihat(i, r)]:
+                    chi = classical_fm_qchar(c, i, r)
+                    assert all(m == 1 for m in chi.values())
 
     def test_a3_dimensions(self):
         c = build_cartan("A", 3)
