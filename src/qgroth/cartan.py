@@ -17,11 +17,11 @@ A the adjacency matrix of the Dynkin graph,
     Ct(m + 1) = Ct(m) A - Ct(m - 1),  Ct(0) = 0,  Ct(1) = 1,
     F(m) = F(m - 2) - Ct(m - 1),      F(0) = F(1) = 0,
 
-and each Ct(m), a polynomial in A, is symmetric.  One table per CartanData
-holds (Ct(m), F(m)) per degree as Python-int matrices, extended on demand by
-these recurrences; ctilde, n_form, f_form and skew_form (the form
-Lambda((i,r),(j,s)) = F_ij(s - r) on a vertex list) all read it, so no
-rational-function arithmetic is ever needed.
+and each Ct(m), a polynomial in A, is symmetric.  Each CartanData holds a
+table of (Ct(m), F(m)) per degree as Python-int matrices, extended on demand
+by these recurrences, so equal instances hold equal tables; ctilde, n_form,
+f_form and skew_form (the form Lambda((i,r),(j,s)) = F_ij(s - r) on a
+vertex list) all read it, so no rational-function arithmetic is ever needed.
 """
 
 from __future__ import annotations
@@ -62,22 +62,23 @@ def _edges(type_label: str, rank: int) -> set[frozenset[int]]:
     return edges
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class CartanData:
     """Cartan matrix, Dynkin graph and quantum-Cartan coefficient cache.
 
-    Immutable after construction except for the memo table, which behaves
-    as a pure cache (idempotent fills), so instances are safe to share.
+    A value: it compares and hashes by (dynkin_type, rank), which fix every
+    other field.  The Cartan matrix is read-only and the memo table a pure
+    cache (idempotent fills), so equal instances are interchangeable.
     """
 
     dynkin_type: str
     rank: int
-    cartan: np.ndarray
-    dual_coxeter: int
+    cartan: np.ndarray = field(compare=False)
+    dual_coxeter: int = field(compare=False)
     # _table[m] = (Ct(m), F(m)), filled on demand from the two seed degrees
-    _table: list[tuple[list[list[int]], list[list[int]]]] = field(repr=False)
-    _neighbors: dict[int, tuple[int, ...]] = field(repr=False, default_factory=dict)
-    _node_class: dict[int, int] = field(repr=False, default_factory=dict)
+    _table: list[tuple[list[list[int]], list[list[int]]]] = field(repr=False, compare=False)
+    _neighbors: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
+    _node_class: dict[int, int] = field(repr=False, compare=False)
 
     @property
     def nodes(self) -> range:
@@ -119,6 +120,7 @@ def build_cartan(type_label: str, rank: int) -> CartanData:
     for e in edges:
         a, b = sorted(e)
         cartan[a - 1, b - 1] = cartan[b - 1, a - 1] = -1
+    cartan.flags.writeable = False
 
     neighbors = {
         i: tuple(sorted(j for j in range(1, rank + 1) if frozenset((i, j)) in edges))

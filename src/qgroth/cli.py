@@ -27,7 +27,9 @@ from .qcluster import (
     initial_seed,
     read_along,
 )
-from .qtorus import TERM_BUDGET, TorusElement, TorusError, evaluate_t1, vertex_sort_key
+from .qtorus import (
+    TERM_BUDGET, TorusElement, TorusError, evaluate_t1, monomial_text, vertex_sort_key
+)
 from .repchar import (
     RepCharError,
     baxter_check,
@@ -129,11 +131,7 @@ def _emit_value(args, head: dict, value: TorusElement) -> None:
     terms = [{"c": n, "exp": [[i, r, e] for (i, r), e in k]} for k, n in items]
 
     def text():
-        return " + ".join(
-            (f"{n}*" if n != 1 else "")
-            + "".join(f"z[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in k)
-            for k, n in items
-        ) or "0"
+        return " + ".join((f"{n}*" if n != 1 else "") + monomial_text(k) for k, n in items) or "0"
 
     _emit(args, {**head, "t1": True, "terms": terms}, text)
 
@@ -266,10 +264,7 @@ def cmd_oracle(args) -> int:
     c = _cartan_of(args)
     chi = classical_fm_qchar(c, args.i, args.r)
     monos = sorted(chi, key=lambda m: sorted((vertex_sort_key(v), e) for v, e in m))
-    text = " + ".join(
-        "".join(f"Y[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in m) or "1"
-        for m in monos
-    )
+    text = " + ".join(monomial_text(m, "Y") or "1" for m in monos)
     obj = {
         "highest": [args.i, args.r],
         "monomials": [[[i, r, e] for (i, r), e in m] for m in monos],

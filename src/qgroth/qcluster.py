@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -97,17 +98,10 @@ class QuantumSeed:
     def cartan(self) -> CartanData:
         return self.slice.cartan
 
-    def check_commutation(self, pairs=None) -> None:
-        """Verify vars[u] * vars[w] = t^{Lambda_cur(u,w)} vars[w] * vars[u]."""
-        verts = self.slice.vertices
+    def check_commutation(self) -> None:
+        """Verify vars[u] * vars[w] = t^{Lambda_cur(u,w)} vars[w] * vars[u] for all u, w."""
         idx = self.slice.index
-        if pairs is None:
-            pairs = [
-                (verts[a], verts[b])
-                for a in range(len(verts))
-                for b in range(a + 1, len(verts))
-            ]
-        for u, w in pairs:
+        for u, w in combinations(self.slice.vertices, 2):
             lhs = self.vars[u] * self.vars[w]
             rhs = (self.vars[w] * self.vars[u]).scaled(
                 {2 * int(self.lambda_current[idx[u], idx[w]]): 1}

@@ -183,6 +183,11 @@ def make_key(exp: dict[Vertex, int]) -> ExpKey:
     )
 
 
+def monomial_text(key: ExpKey, letter: str = "z") -> str:
+    """The monomial of key as text, e.g. z[1,0]z[2,1]^-1; "" for the empty key."""
+    return "".join(f"{letter}[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in key)
+
+
 class _Frame:
     """Vertices in reading order, and the skew form on them.
 
@@ -263,7 +268,7 @@ class TorusElement:
     stored in _dense and _frame, which only this module reads.  Immutable:
     its coefficients leave it read-only.  cartan None is the untwisted ring,
     whose star product is the commutative (t=1) product.  Elements over
-    different Cartan data, or twisted and untwisted, never meet."""
+    different Dynkin types, or twisted and untwisted, never meet."""
 
     __slots__ = ("_frame", "_dense", "_terms")
 
@@ -301,7 +306,8 @@ class TorusElement:
     def _join(self, other: "TorusElement") -> tuple["TorusElement", "TorusElement"]:
         """self and other in one frame: the frame of either one when it
         holds the other's vertices, else a new frame on their union."""
-        self._check_peer(other)
+        if not self._meets(other):
+            raise TorusError("operands must live over the same Cartan data")
         fa, fb = self._frame, other._frame
         if fa is fb or fa.verts == fb.verts:
             return self, other
@@ -345,7 +351,7 @@ class TorusElement:
         return bool(self._dense)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusElement) or self.cartan is not other.cartan:
+        if not self._meets(other):
             return False
         x, y = self._join(other)
         return x._dense == y._dense
@@ -406,9 +412,11 @@ class TorusElement:
             raise TorusError("zero element has no trailing term")
         return self._frame.sparse_key(max(self._dense))
 
-    def _check_peer(self, other: "TorusElement") -> None:
-        if not isinstance(other, TorusElement) or other.cartan is not self.cartan:
-            raise TorusError("operands must live over the same Cartan data")
+    def _meets(self, other) -> bool:
+        """Whether other is over equal Cartan data (identity first) or both are untwisted."""
+        return isinstance(other, TorusElement) and (
+            (c := self.cartan) is (d := other.cartan) or c == d
+        )
 
     # -- rendering
     def sorted_terms(self, limit: int | None = None) -> Iterator[tuple[ExpKey, Mapping[int, int]]]:
@@ -427,9 +435,7 @@ class TorusElement:
             return "0"
         parts = []
         for k, coeff in self.sorted_terms(limit):
-            factors = "".join(
-                f"z[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in k
-            )
+            factors = monomial_text(k)
             if coeff == {0: 1} and factors:
                 parts.append(factors)
             elif factors:
@@ -446,10 +452,12 @@ class TorusElement:
 def frame_variables(
     c: CartanData | None, verts: Sequence[Vertex], lam: list[list[int]] | None = None
 ) -> dict[Vertex, TorusElement]:
-    """The monomials z[v] for v in verts, all in one frame on verts.  With c
-    None the frame is untwisted: the commutative (t=1) ring.  verts may come
-    in any order, except with lam, the skew form on verts taken as the
-    frame's: its rows follow verts, so verts must be in reading order."""
+    """The monomials z[v] for v in verts, all in one frame on verts.  c None
+    is the untwisted frame, the commutative (t=1) ring, which takes no lam.
+    verts may come in any order, except with lam, the skew form on verts
+    taken as the frame's: its rows follow verts, which must be in reading order."""
+    if lam is not None and c is None:
+        raise TorusError("an untwisted frame takes no skew form")
     frame = _Frame(verts, c, lam)
     if lam is not None and frame.verts != tuple(verts):
         raise TorusError("a skew form's vertices must come in reading order")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -25,6 +26,17 @@ def series(c, i, j, degree):
 
 
 class TestBuildCartan:
+    def test_equal_builds_are_read_only(self):
+        # equal Cartan data are interchangeable, so none may be changed
+        c = build_cartan("D", 4)
+        with pytest.raises(ValueError, match="read-only"):
+            c.cartan[0, 1] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.rank = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.cartan = np.eye(4, dtype=np.int64)
+        assert c.rank == 4 and c.cartan[0, 1] == -1 and c == build_cartan("D", 4)
+
     def test_rank_one(self):
         c = build_cartan("A", 1)
         assert c.cartan.tolist() == [[2]]

@@ -24,6 +24,7 @@ from qgroth.qtorus import (
     frame_variables,
     lambda_of,
     make_key,
+    monomial_text,
     tc_exact_div,
     vertex_sort_key,
 )
@@ -363,6 +364,12 @@ class TestRendering:
         x = monomial(a1, {(1, 2): 1, (1, 0): -1}) + monomial(a1, {(1, -2): 1}, {-1: 2})
         assert x.to_text() == "z[1,2]z[1,0]^-1 + 2*t^{-1/2}*z[1,-2]"
 
+    def test_monomial_text(self):
+        key = make_key({(1, 2): 1, (2, 1): -1, (1, 0): 3})
+        assert monomial_text(key) == "z[1,2]z[2,1]^-1z[1,0]^3"
+        assert monomial_text(key, "Y") == "Y[1,2]Y[2,1]^-1Y[1,0]^3"
+        assert monomial_text(()) == ""
+
     def test_json_deterministic(self, a2):
         x = monomial(a2, {(1, 0): 1, (2, 1): -2}, {1: 1}) + monomial(a2, {(1, 2): 1})
         text = "".join(_json_chunks({"terms": x}))
@@ -690,6 +697,16 @@ class TestFrames:
         assert z._frame.verts == tuple(verts) and z._frame.lam is lam
         with pytest.raises(TorusError, match="reading order"):
             frame_variables(d4, verts[::-1], skew_form(d4, verts[::-1]))
+
+    def test_untwisted_frame_refuses_a_skew_form(self, a2):
+        # z[1,2] * z[1,0] would carry t^{1/2} in the commutative ring
+        slc = build_slice(a2, N=1)
+        lam = compat.build_lambda(a2, slc).tolist()
+        with pytest.raises(TorusError, match="untwisted frame takes no skew form"):
+            frame_variables(None, slc.vertices, lam)
+        z = frame_variables(None, slc.vertices)
+        assert z[(1, 2)] * z[(1, 0)] == z[(1, 0)] * z[(1, 2)]
+        assert (z[(1, 2)] * z[(1, 0)]).to_text() == "z[1,2]z[1,0]"
 
 
 # ------------------------------------------ the skew form, read when needed

@@ -6,7 +6,16 @@ from qgroth import qcluster, repchar
 from qgroth.cartan import CartanError, build_cartan
 from qgroth.qcluster import initial_seed, mutate_along
 from qgroth.quiver import build_slice
-from qgroth.qtorus import TorusElement, embed_Y, evaluate_t1, make_key
+from qgroth.qtorus import (
+    TorusElement,
+    TorusError,
+    embed_Y,
+    embed_Y_key,
+    evaluate_t1,
+    exact_left_divide,
+    lambda_of,
+    make_key,
+)
 from qgroth.repchar import (
     RepCharError,
     baxter_check,
@@ -32,23 +41,17 @@ def a2():
 
 
 @functools.cache
-def cartan(kind, rank):
-    """One CartanData per type: torus values compare equal only on one."""
-    return build_cartan(kind, rank)
-
-
-@functools.cache
 def character(kind, rank, i, r):
     """The one-node character at (i, r), computed once for every test that
     reads it."""
-    return fundamental_qt_character(cartan(kind, rank), i, r)
+    return fundamental_qt_character(build_cartan(kind, rank), i, r)
 
 
 @pytest.fixture(scope="module")
 def d5_r1():
     """D5's class {2,4,5} at r = 1 from one run, which the D5 tests at r = 1
     read: about half the time of three one-node runs."""
-    return fundamental_qt_characters(cartan("D", 5), 1, [2, 4, 5])
+    return fundamental_qt_characters(build_cartan("D", 5), 1, [2, 4, 5])
 
 
 class TestMutationSequence:
@@ -148,7 +151,7 @@ SHIFT_CASES = [("A", n, i) for n in (1, 2, 3) for i in range(1, n + 1)] + [
 @pytest.mark.parametrize("kind, rank, i", SHIFT_CASES)
 def test_spectral_shift_covariance(kind, rank, i):
     # the character at (i, r + 2) is the one at (i, r), translated by 2
-    r = next(r for r in (0, 1) if cartan(kind, rank).in_ihat(i, r))
+    r = next(r for r in (0, 1) if build_cartan(kind, rank).in_ihat(i, r))
     base = character(kind, rank, i, r)
     moved = character(kind, rank, i, r + 2)
     assert dict(moved.terms) == shifted_terms(base, 2)
@@ -189,7 +192,7 @@ def test_diagram_automorphism_covariance(d5_r1, kind, rank, sigma, origin, image
         make_key({(sigma[j - 1], s + delta): e for (j, s), e in k}): coeff
         for k, coeff in base.terms.items()
     }
-    assert TorusElement(cartan(kind, rank), moved) == chi(*image)
+    assert TorusElement(build_cartan(kind, rank), moved) == chi(*image)
     if (kind, rank, origin) == ("D", 4, (2, 1)):
         assert len(base.terms) == 28 and {2: 1, -2: 1} in base.terms.values()
 
@@ -207,7 +210,7 @@ CLASS_CASES = [
 class TestClassRun:
     @pytest.mark.parametrize("kind, rank, k, r", CLASS_CASES)
     def test_equals_the_one_node_runs(self, kind, rank, k, r):
-        c = cartan(kind, rank)
+        c = build_cartan(kind, rank)
         nodes = [i for i in c.nodes if c.node_class(i) == k]
         chars = fundamental_qt_characters(c, r, nodes)
         assert list(chars) == nodes
@@ -262,6 +265,34 @@ class TestClassRun:
         with pytest.raises(error, match=message):
             fundamental_qt_characters(build_cartan(kind, rank), r, nodes)
         assert calls == []
+
+
+class TestTwoBuilds:
+    """Cartan data are values, so characters computed on two builds of one
+    Dynkin type meet in every operation; other types never do."""
+
+    def test_d5_chi_2_1_from_two_builds_is_equal(self, d5_r1):
+        one = character("D", 5, 2, 1)
+        assert one.cartan is not d5_r1[2].cartan
+        assert one == d5_r1[2] and d5_r1[2] == one
+        assert hash(one) == hash(d5_r1[2])
+
+    def test_d4_values_from_two_builds_meet(self):
+        c, d = build_cartan("D", 4), build_cartan("D", 4)
+        x, y = fundamental_qt_character(c, 1, 0), fundamental_qt_character(d, 1, 4)
+        y_c = fundamental_qt_character(c, 1, 4)
+        # a non-resonant pair, so x * y = v^p y * x with p = 2 Lambda(Y_{1,0}, Y_{1,4}),
+        # checked on one build
+        p = 2 * lambda_of(c, embed_Y_key(c, {(1, 0): 1}), embed_Y_key(c, {(1, 4): 1}))
+        assert p == 2 and x * y_c == (y_c * x).scaled({p: 1})
+        assert x * y == (y_c * x).scaled({2: 1}) and y * x == y_c * x
+        assert exact_left_divide(x * y, x) == y_c and exact_left_divide(y * x, y) == x
+        assert x + y == x + y_c and (y - y_c) == TorusElement.zero(c)
+        # a D5 value still meets neither
+        z = fundamental_qt_character(build_cartan("D", 5), 1, 0)
+        assert x != z and z != x
+        with pytest.raises(TorusError):
+            x * z
 
 
 class TestClassicalOracle:
