@@ -27,11 +27,23 @@ Each element keeps its dense terms, _dense, in a frame, _frame, and only
 this module reads either.  A frame holds vertices in reading order and the
 skew form on them, read whole in one call to cartan.skew_form when a product
 or a division first needs it, so sums, moves, comparisons and printing never
-read it.  Exponents are tuples over the frame, negated, so plain tuple order
-is the reverse of the lex order.  The dense terms are the one copy of an
-element's terms: the constructor sums the given terms into fresh dicts, so
-keys of one monomial add up and zero exponents vanish, and terms, the ExpKey
-view, is built from them only when read.  Printing never reads it: to_text
+read it.  A dense key is one non-negative int that packs an exponent vector
+over the frame: each vertex owns a 16-bit field holding BIAS - e for its
+exponent e, the first vertex of the reading order in the most significant
+field, so plain int order is the reverse of the lex order.  The top bit of
+each field is a guard bit, clear in every key, so e runs over [EXP_MIN,
+EXP_MAX] = [1 - 2^14, 2^14]; the constructor refuses an exponent outside it,
+naming the vertex, and a product or a division whose key would leave it
+raises TorusError naming the operation, never a wrong answer.  The sum of
+two keys is one int addition less the frame's zero key, and a field that
+leaves its range sets a guard bit, so one AND with the guard mask tests a
+whole key.  Keys are ints, not tuples, because CPython keeps up to 2 000
+freed tuples of each length up to 20 for reuse, so a large product's tuple
+keys outlived it, and an int key is also about a third of the size.  The
+dense terms are the one copy of an element's terms: the constructor sums
+the given terms into fresh dicts, so keys of one monomial add up and zero
+exponents vanish, and terms, the ExpKey view, is built from them only when
+read.  Printing never reads it: to_text
 and sorted_terms render term by term from the dense keys.  A seed's
 variables share one frame built with the seed's Lambda as its skew form, so
 their arithmetic converts nothing and reads no skew form.  No coefficient
@@ -54,7 +66,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from heapq import heapify, heappop, heappush, nsmallest
-from operator import add, le, mul, sub
+from operator import mul
+from struct import Struct
 from types import MappingProxyType
 
 from .cartan import CartanData, check_vertices, f_form, skew_form
@@ -188,24 +201,34 @@ def monomial_text(key: ExpKey, letter: str = "z") -> str:
     return "".join(f"{letter}[{i},{r}]" + (f"^{e}" if e != 1 else "") for (i, r), e in key)
 
 
+# A dense key gives each vertex a 16-bit field holding BIAS - e, whose top
+# bit is the guard bit: the fields 0 .. 2^15 - 1 hold EXP_MIN <= e <= EXP_MAX.
+BIAS = 1 << 14
+EXP_MIN, EXP_MAX = BIAS + 1 - (1 << 15), BIAS
+
+
 class _Frame:
     """Vertices in reading order, and the skew form on them.
 
-    dense(key) negates the exponents, so plain tuple order on dense vectors
-    is the reverse of the lex order along the reading order (a vertex
+    A dense key packs the exponent vector of a term into one int (module
+    docstring): of n vertices, the one at column j owns bits 16(n-1-j) to
+    16(n-j) - 1, which hold BIAS - e.  zero is the key of the empty
+    monomial, BIAS in every field, and guard has the top bit of every field
+    set.  dense maps an ExpKey to its key, sparse_key maps a key back, and
+    unpack gives the negated exponents -e along the reading order.  Plain
+    int order on keys is the reverse of the lex order along it (a vertex
     missing from a key counts as exponent 0), and min picks the leading
-    term.  sparse_key maps a dense key back to its ExpKey.  With
-    Cartan data, lam is cartan.skew_form of the vertices, read whole on
-    its first read, which is the first twists call, unless the frame was
-    built with it; the vertices' nodes are checked at construction, so a
-    vertex off the Cartan data is refused when its frame is built.  The
-    twist row of a dense exponent e is its Lambda row: Lambda(e, f) =
-    twist(e) . f, since the negations of e and f cancel.  Lambda is skew,
-    so twist(e) is the sum of e[a] lam[a] over the support of e.  Without
-    Cartan data lam is None and so are the twist rows: the untwisted (t=1)
-    ring."""
+    term.  With Cartan data, lam is cartan.skew_form of the vertices, read
+    whole on its first read, which is the first twists call, unless the
+    frame was built with it; the vertices' nodes are checked at
+    construction, so a vertex off the Cartan data is refused when its frame
+    is built.  The twist row of a term is its Lambda row, a list:
+    Lambda(e, f) = twist(e) . unpack(f), since the negations of e and f
+    cancel.  Lambda is skew, so twist(e) is the sum of e[a] lam[a] over the
+    support of e.  Without Cartan data lam is None and so are the twist
+    rows: the untwisted (t=1) ring."""
 
-    __slots__ = ("verts", "col", "cartan", "_lam")
+    __slots__ = ("verts", "col", "cartan", "_lam", "_fields", "zero", "guard")
 
     def __init__(self, verts, cartan: CartanData | None, lam: list[list[int]] | None = None):
         self.verts = tuple(sorted(verts, key=vertex_sort_key))
@@ -214,6 +237,9 @@ class _Frame:
         if cartan is not None:
             check_vertices(cartan, self.verts)
         self._lam = lam
+        self._fields = Struct(f">{len(self.verts)}h")
+        self.guard = int.from_bytes(b"\x80\x00" * len(self.verts), "big")
+        self.zero = self.guard >> 1
 
     @property
     def lam(self) -> list[list[int]] | None:
@@ -221,29 +247,59 @@ class _Frame:
             self._lam = skew_form(self.cartan, self.verts)
         return self._lam
 
-    def dense(self, key: ExpKey) -> tuple[int, ...]:
-        """key's dense key; its factors may come in any order."""
-        out = [0] * len(self.verts)
+    def unpack(self, k: int) -> tuple[int, ...]:
+        """The negated exponents of key k, one per vertex in reading order."""
+        # xor with zero turns each field into its negated exponent in 15-bit
+        # two's complement, and copying bit 14 up to bit 15 widens it to 16
+        w = k ^ self.zero
+        return self._fields.unpack((w | (w & self.zero) << 1).to_bytes(self._fields.size, "big"))
+
+    def dense(self, key: ExpKey) -> int:
+        """key's dense key; its factors may come in any order.  An exponent
+        outside [EXP_MIN, EXP_MAX] raises TorusError naming its vertex."""
+        neg = [0] * len(self.verts)
         for u, e in key:
             if e:
-                out[self.col[u]] -= e
-        return tuple(out)
+                neg[self.col[u]] -= e
+        if min(neg, default=0) < -EXP_MAX or max(neg, default=0) > -EXP_MIN:
+            j = next(j for j, x in enumerate(neg) if not -EXP_MAX <= x <= -EXP_MIN)
+            i, r = self.verts[j]
+            raise TorusError(
+                f"exponent {-neg[j]} of z[{i},{r}] lies outside [{EXP_MIN}, {EXP_MAX}]"
+            )
+        # the inverse of unpack: flip bit 14 of each 16-bit field, clear bit 15
+        return (int.from_bytes(self._fields.pack(*neg), "big") ^ self.zero) & ~self.guard
 
-    def sparse_key(self, k: tuple[int, ...]) -> ExpKey:
+    def sparse_key(self, k: int) -> ExpKey:
         verts = self.verts
-        return tuple((verts[j], -e) for j, e in enumerate(k) if e)
+        return tuple((verts[j], -e) for j, e in enumerate(self.unpack(k)) if e)
+
+    def bounds(self, keys) -> tuple[int, int]:
+        """The keys whose fields are the least and the greatest of each field
+        over keys, which must not be empty.  A field of (x | guard) - k keeps its
+        guard bit where x's field is at least k's, so each key costs a few
+        int operations and no unpacking."""
+        guard = self.guard
+        keys = iter(keys)
+        lo = hi = next(keys)
+        for k in keys:
+            ge = ((lo | guard) - k) & guard  # lo's field >= k's
+            lo ^= (lo ^ k) & (ge - (ge >> 15))
+            ge = ((k | guard) - hi) & guard  # k's field >= hi's
+            hi ^= (hi ^ k) & (ge - (ge >> 15))
+        return lo, hi
 
     def twists(self, keys) -> dict:
         """The twist row of each dense key."""
         lam = self.lam
         if lam is None:
             return dict.fromkeys(keys)
-        return {e: _twist(lam, e) for e in keys}
+        return {e: _twist(lam, self.unpack(e)) for e in keys}
 
 
-def _twist(lam: list[list[int]], e: tuple[int, ...]) -> tuple[int, ...]:
+def _twist(lam: list[list[int]], e: Sequence[int]) -> list[int]:
     scaled = [[x * y for y in lam[a]] for a, x in enumerate(e) if x]
-    return tuple(map(sum, zip(*scaled))) if scaled else (0,) * len(e)
+    return list(map(sum, zip(*scaled))) if scaled else [0] * len(e)
 
 
 def lambda_of(c: CartanData, e: ExpKey | dict, f: ExpKey | dict) -> int:
@@ -276,7 +332,7 @@ class TorusElement:
         """The sum of the given terms, added into fresh coefficient dicts."""
         nonzero = [(k, c) for k, c in terms.items() if any(c.values())]
         self._frame = frame = _Frame({u for k, _ in nonzero for u, e in k if e}, cartan)
-        dense: dict[tuple[int, ...], TCoeff] = {}
+        dense: dict[int, TCoeff] = {}
         for k, c in nonzero:
             _add_product(dense.setdefault(frame.dense(k), {}), c, {0: 1})
         self._dense = {k: c for k, c in dense.items() if c}
@@ -319,12 +375,29 @@ class TorusElement:
         return self._moved(frame), other._moved(frame)
 
     def _moved(self, frame: _Frame) -> "TorusElement":
-        """This element in a frame that holds its frame's vertices."""
-        # column -1 reads the 0 appended to each key
-        src = [self._frame.col.get(u, -1) for u in frame.verts]
-        return TorusElement._of(
-            frame, {tuple(map((k + (0,)).__getitem__, src)): c for k, c in self._dense.items()}
-        )
+        """This element in a frame that holds its frame's vertices.  Both
+        frames list them in reading order, so each run of vertices adjacent
+        in both moves as one bit field, onto the new frame's zero key."""
+        verts, n, m = self._frame.verts, len(self._frame.verts), len(frame.verts)
+        there = [frame.col[u] for u in verts]
+        moves = []  # (shift here, mask, shift there) of each run
+        i = 0
+        while i < n:
+            w = 1
+            while i + w < n and there[i + w] == there[i] + w:
+                w += 1
+            moves.append((16 * (n - i - w), (1 << 16 * w) - 1, 16 * (m - there[i] - w)))
+            i += w
+
+        def move(k: int) -> int:
+            out = 0
+            for here, mask, to in moves:
+                out |= (k >> here & mask) << to
+            return out
+
+        # the new frame's zero key with the moved fields cleared
+        base = frame.zero ^ move(self._frame.zero)
+        return TorusElement._of(frame, {base | move(k): c for k, c in self._dense.items()})
 
     # -- constructors
     @classmethod
@@ -385,7 +458,9 @@ class TorusElement:
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         """Star product: comm(e) * comm(f) = v^Lambda(e,f) comm(e+f)."""
         x, y = self._join(other)
-        return TorusElement._of(x._frame, _star(x._dense, y._dense, y._frame.twists(y._dense)))
+        return TorusElement._of(
+            x._frame, _star(x._frame, x._dense, y._dense, y._frame.twists(y._dense))
+        )
 
     def scaled(self, coeff: TCoeff | int) -> "TorusElement":
         if isinstance(coeff, int):
@@ -512,21 +587,28 @@ def evaluate_t1(a: TorusElement) -> dict[ExpKey, int]:
 
 # ------------------------------------------------ product and exact division
 
-def _star(a: dict, b: dict, rows: dict) -> dict:
-    """The star product a * b of dense terms in one frame, where rows maps
-    each term f of b to its twist row (None: untwisted).  Lambda is skew, so
-    each pair of terms costs one dot product, Lambda(e, f) = -twist(f) . e,
-    and one tuple sum.  The terms are counted after each term of a, so a
-    product past TERM_BUDGET stops at most len(b) terms beyond it."""
-    right = [(f, cb, rows[f]) for f, cb in b.items()]
-    out: dict[tuple[int, ...], TCoeff] = {}
+def _star(frame: _Frame, a: dict, b: dict, rows: dict) -> dict:
+    """The star product a * b of dense terms in frame, where rows maps each
+    term f of b to its twist row (None: untwisted).  Lambda is skew, so each
+    pair of terms costs one dot product, Lambda(e, f) = -twist(f) . e, with
+    e unpacked once per term of a, and one key sum: an int addition, whose
+    guard bits catch an exponent that leaves its range.  The terms are
+    counted after each term of a, so a product past TERM_BUDGET stops at
+    most len(b) terms beyond it."""
+    zero, guard = frame.zero, frame.guard
+    right = [(f - zero, cb, rows[f]) for f, cb in b.items()]
+    twisted = frame.cartan is not None
+    out: dict[int, TCoeff] = {}
     for e, ca in a.items():
+        ne = frame.unpack(e) if twisted else None
         for f, cb, row in right:
-            k = tuple(map(add, e, f))
+            k = e + f
+            if k & guard:
+                raise TorusError(f"a star product has an exponent outside [{EXP_MIN}, {EXP_MAX}]")
             target = out.get(k)
             if target is None:
                 target = out[k] = {}
-            _add_product(target, ca, cb, -sum(map(mul, row, e)) if row else 0)
+            _add_product(target, ca, cb, -sum(map(mul, row, ne)) if row else 0)
         if len(out) > TERM_BUDGET:
             raise TermBudgetError("a star product", len(out))
     # Exchange products repeat a few coefficients over many terms, and no
@@ -553,7 +635,8 @@ def _divide(frame: _Frame, a: dict, d: dict, rows: dict) -> dict:
     exact_left_divide), and each step subtracts d times one quotient term.
     Where no quotient exists it raises NonExactDivision at once, with the
     reason and the remainder at that point; a remainder past TERM_BUDGET
-    raises TermBudgetError."""
+    raises TermBudgetError.  A degree box outside the exponent range raises
+    TorusError: a quotient, if any, would leave the range."""
     if not a:
         return {}
     rem = dict(a)
@@ -561,14 +644,22 @@ def _divide(frame: _Frame, a: dict, d: dict, rows: dict) -> dict:
     def failure(reason: str) -> NonExactDivision:
         return NonExactDivision(reason, TorusElement._of(frame, rem), len(a), len(d))
 
-    # the degree box; negating exponents maps it onto the same formula
-    lo = tuple(map(sub, map(min, zip(*rem)), map(min, zip(*d))))
-    hi = tuple(map(sub, map(max, zip(*rem)), map(max, zip(*d))))
+    # the degree box, as the keys of its corners; negating exponents maps it
+    # onto the same formula
+    zero, guard = frame.zero, frame.guard
+    (lo_a, hi_a), (lo_d, hi_d) = frame.bounds(rem), frame.bounds(d)
+    lo, hi = lo_a - lo_d + zero, hi_a - hi_d + zero
+    if (lo | hi) & guard:
+        raise TorusError(f"a division has an exponent outside [{EXP_MIN}, {EXP_MAX}]")
     lead = min(d)
     lead_coeff, lead_row = d[lead], rows[lead]
-    rest = [(kd, cd, rows[kd]) for kd, cd in d.items() if kd != lead]
+    # each term of d less zero: its key plus a quotient key is the key of
+    # their product, which the box keeps in range
+    rest = [(kd - zero, cd, rows[kd]) for kd, cd in d.items() if kd != lead]
+    lead -= zero
+    twisted = frame.cartan is not None
 
-    quot: dict[tuple[int, ...], TCoeff] = {}
+    quot: dict[int, TCoeff] = {}
     heap = list(rem)
     heapify(heap)
     while heap:
@@ -576,10 +667,12 @@ def _divide(frame: _Frame, a: dict, d: dict, rows: dict) -> dict:
         cm = rem.get(m)
         if cm is None:
             continue
-        ex = tuple(map(sub, m, lead))
-        if not (all(map(le, lo, ex)) and all(map(le, ex, hi))):
+        ex = m - lead  # the candidate's key: m less lead(d), plus zero
+        # an out-of-range key, or one below lo or above hi in some field
+        if (ex | (ex - lo) | (hi - ex)) & guard:
             raise failure(NonExactDivision.OUTSIDE_BOX)
-        shift = sum(map(mul, lead_row, ex)) if lead_row else 0
+        ne = frame.unpack(ex) if twisted else None
+        shift = sum(map(mul, lead_row, ne)) if lead_row else 0
         try:
             cx = tc_exact_div(cm, _add_product({}, lead_coeff, {shift: 1}))
         except TorusError:
@@ -589,13 +682,13 @@ def _divide(frame: _Frame, a: dict, d: dict, rows: dict) -> dict:
         # rem -= d * term; the leading product cancels cm exactly
         neg_cx = _add_product({}, cx, {0: -1})
         for kd, cd, row in rest:
-            k = tuple(map(add, kd, ex))
+            k = kd + ex
             old = rem.get(k)
             if old is None:
                 heappush(heap, k)
             # a fresh dict, so the coefficients of a are never written to
             target = rem[k] = {} if old is None else dict(old)
-            _add_product(target, cd, neg_cx, sum(map(mul, row, ex)) if row else 0)
+            _add_product(target, cd, neg_cx, sum(map(mul, row, ne)) if row else 0)
             if not target:
                 del rem[k]  # its heap entry is skipped when popped
         if len(rem) > TERM_BUDGET:

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from functools import cmp_to_key
 from operator import add, mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,9 @@ from qgroth.cli import _json_chunks
 from qgroth.qcluster import initial_seed
 from qgroth.quiver import build_slice
 from qgroth.qtorus import (
+    BIAS,
+    EXP_MAX,
+    EXP_MIN,
     NonExactDivision,
     TermBudgetError,
     TorusElement,
@@ -442,6 +449,79 @@ class TestConstructor:
         assert y.terms == want.terms and y == want and hash(y) == hash(want)
 
 
+class TestExponentRange:
+    # the extremes of each sign, and the largest magnitude both signs reach
+    @pytest.mark.parametrize("e", [EXP_MIN, EXP_MAX, -EXP_MIN])
+    def test_extremes_build_print_and_round_trip(self, a2, e):
+        for c in (a2, None):
+            x = monomial(c, {(1, 0): e, (2, 1): -1}, {1: 2})
+            assert x.to_text() == f"2*t^{{1/2}}*z[2,1]^-1z[1,0]^{e}"
+            assert x.terms == {make_key({(1, 0): e, (2, 1): -1}): {1: 2}}
+            assert TorusElement(c, x.terms) == x
+            assert x.lead_key() == x.trail_key() == make_key({(1, 0): e, (2, 1): -1})
+
+    @pytest.mark.parametrize("e", [EXP_MIN, -EXP_MIN])
+    def test_extremes_times_their_inverse(self, a2, e):
+        for c in (a2, None):
+            x = monomial(c, {(1, 0): e, (2, 1): 1})
+            inverse = monomial(c, {(1, 0): -e, (2, 1): -1})
+            assert x * inverse == inverse * x == TorusElement.one(c)
+            assert exact_left_divide(TorusElement.one(c), x) == inverse
+
+    @pytest.mark.parametrize("e", [EXP_MIN - 1, EXP_MAX + 1, 10**6])
+    def test_one_step_past_names_the_vertex(self, a2, e):
+        for c in (a2, None):
+            with pytest.raises(TorusError, match=rf"exponent {e} of z\[2,1\] lies outside"):
+                monomial(c, {(1, 0): 1, (2, 1): e})
+
+    @pytest.mark.parametrize(
+        "e, f", [(EXP_MAX, 1), (EXP_MIN, -1), (EXP_MAX // 2 + 1, EXP_MAX // 2)]
+    )
+    def test_a_product_past_the_range_raises(self, a2, e, f):
+        for c in (a2, None):
+            # vertices above and below, so the field that leaves its range
+            # lies between two others
+            x = monomial(c, {(1, 0): e, (2, 1): 1, (2, -1): 1}) + monomial(c, {(2, 1): 2})
+            y = monomial(c, {(1, 0): f, (2, 1): -1, (2, -1): -1})
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(TorusError, match="a star product has an exponent outside"):
+                    a * b
+        # one step inside, the product is a value
+        inside = e - (1 if f > 0 else -1)
+        z = monomial(a2, {(1, 0): inside}) * monomial(a2, {(1, 0): f})
+        assert z == monomial(a2, {(1, 0): inside + f})
+
+    @pytest.mark.parametrize("e, f", [(EXP_MIN, 1), (EXP_MAX, -1)])
+    def test_a_division_past_the_range_raises(self, a2, e, f):
+        for c in (a2, None):
+            num = monomial(c, {(1, 0): e, (2, 1): 1}) + monomial(c, {(2, 1): 3})
+            den = monomial(c, {(1, 0): f})
+            with pytest.raises(TorusError, match="a division has an exponent outside"):
+                exact_left_divide(num, den)
+
+
+# Run crit_10's random products and divisions under tracemalloc in a fresh
+# interpreter, and print the bytes still allocated when it returns, before
+# any gc.collect().
+RETENTION = (
+    "import tracemalloc; tracemalloc.start(); from qgroth import verify; "
+    "before = tracemalloc.get_traced_memory()[0]; verify.crit_10_properties(); "
+    "print(tracemalloc.get_traced_memory()[0] - before)"
+)
+
+
+def test_arithmetic_leaves_no_freed_keys_behind():
+    # CPython keeps up to 2 000 freed tuples of each length up to 20 for
+    # reuse; tuple keys, or any key or twist row of a type it keeps so, left
+    # 2.3 MB allocated here, packed int keys about 0.1 MB
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", RETENTION],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(out.stdout) < 1_000_000
+
+
 class TestZeroCoefficients:
     def test_dropped_on_construction(self, a2):
         x = monomial(a2, {(1, 0): 1}, {1: 2})
@@ -519,17 +599,51 @@ REF_CARTANS = {
     label: (c, [(i, r) for i in c.nodes for r in range(-4, 5) if c.in_ihat(i, r)])
     for label, c in (("A3", build_cartan("A", 3)), ("D4", build_cartan("D", 4)))
 }
+# and E6 on its default window: 48 vertices, so a key spans 26 30-bit digits
+E6 = build_cartan("E", 6)
+E6_WINDOW = repchar.default_window(E6, 1, 0)
+REF_CARTANS["E6"] = (E6, list(build_slice(E6, window=E6_WINDOW).vertices))
+
+# Small exponents, and exponents near either end of the key range, whose
+# pairwise sums fall on both sides of each end.
+EXPONENTS = {
+    "small": st.integers(-2, 2),
+    "limit": st.one_of(
+        st.integers(-2, 2),
+        st.integers(EXP_MAX // 2 - 1, EXP_MAX // 2 + 1),
+        st.integers(EXP_MIN // 2 - 1, EXP_MIN // 2 + 1),
+        st.sampled_from([EXP_MIN, EXP_MAX]),
+    ),
+}
+EXPONENT_KINDS = st.sampled_from(sorted(EXPONENTS))
+
+
+def pairs_in_range(a, b):
+    """Whether every pairwise key sum of the terms of a and b (mappings
+    keyed by ExpKey) has its exponents in [EXP_MIN, EXP_MAX]."""
+    return all(
+        EXP_MIN <= e <= EXP_MAX for ke in a for kf in b for _, e in ref_key_sum(ke, kf)
+    )
+
+
+def product_terms(a, b):
+    """The terms of a * b, or "range" where it raises the range error."""
+    try:
+        return (a * b).terms
+    except TorusError as err:
+        assert str(err) == f"a star product has an exponent outside [{EXP_MIN}, {EXP_MAX}]"
+        return "range"
 
 
 @st.composite
-def mixed_elements(draw, label, max_terms=5, coeff_terms=1):
+def mixed_elements(draw, label, max_terms=5, coeff_terms=1, exponents=EXPONENTS["small"]):
     """Elements with coefficients of both signs, so products can cancel;
     each monomial's coefficient has up to coeff_terms powers of v."""
     c, verts = REF_CARTANS[label]
     out = TorusElement.zero(c)
     for _ in range(draw(st.integers(1, max_terms))):
         support = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True))
-        exp = {v: draw(st.integers(-2, 2)) for v in support}
+        exp = {v: draw(exponents) for v in support}
         coeff = {
             draw(st.integers(-2, 2)): draw(st.integers(-3, 3))
             for _ in range(draw(st.integers(1, coeff_terms)))
@@ -543,30 +657,41 @@ REF_SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
 class TestDenseCoreAgainstReferences:
     @REF_SETTINGS
-    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
-    def test_star_product(self, data, label):
-        a = data.draw(mixed_elements(label))
-        b = data.draw(mixed_elements(label))
-        assert (a * b).terms == ref_star(a, b)
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)), kind=EXPONENT_KINDS)
+    def test_star_product(self, data, label, kind):
+        exponents = EXPONENTS[kind]
+        a = data.draw(mixed_elements(label, exponents=exponents))
+        b = data.draw(mixed_elements(label, exponents=exponents))
+        want = ref_star(a, b) if pairs_in_range(a.terms, b.terms) else "range"
+        assert product_terms(a, b) == want
+        # and with either factor moved into the seed frame
+        assert product_terms(in_seed_frame(a, label), b) == want
+        assert product_terms(a, in_seed_frame(b, label)) == want
 
     @REF_SETTINGS
-    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
-    def test_classical_product(self, data, label):
-        a = evaluate_t1(data.draw(mixed_elements(label)))
-        b = evaluate_t1(data.draw(mixed_elements(label)))
-        assert evaluate_t1(untwisted(a) * untwisted(b)) == ref_cp_mul(a, b)
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)), kind=EXPONENT_KINDS)
+    def test_classical_product(self, data, label, kind):
+        exponents = EXPONENTS[kind]
+        a = evaluate_t1(data.draw(mixed_elements(label, exponents=exponents)))
+        b = evaluate_t1(data.draw(mixed_elements(label, exponents=exponents)))
+        if pairs_in_range(a, b):
+            assert evaluate_t1(untwisted(a) * untwisted(b)) == ref_cp_mul(a, b)
+        else:
+            assert product_terms(untwisted(a), untwisted(b)) == "range"
 
     @REF_SETTINGS
-    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
-    def test_term_order(self, data, label):
-        x = data.draw(mixed_elements(label, max_terms=8))
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)), kind=EXPONENT_KINDS)
+    def test_term_order(self, data, label, kind):
+        exponents = EXPONENTS[kind]
+        x = data.draw(mixed_elements(label, max_terms=8, exponents=exponents))
         if not x:
             return
         want = sorted(x.terms, key=cmp_to_key(ref_key_cmp), reverse=True)
-        assert keys_in_order(x) == want
-        assert [k for k, _ in x.sorted_terms(3)] == want[:3]
-        assert all(c == x.terms[k] for k, c in x.sorted_terms())
-        assert (x.lead_key(), x.trail_key()) == (want[0], want[-1])
+        for y in (x, in_seed_frame(x, label)):
+            assert keys_in_order(y) == want
+            assert [k for k, _ in y.sorted_terms(3)] == want[:3]
+            assert all(c == x.terms[k] for k, c in y.sorted_terms())
+            assert (y.lead_key(), y.trail_key()) == (want[0], want[-1])
 
     def test_term_order_disjoint_supports(self, d4):
         # z[2,3] leads: it is the only key with a nonzero exponent at level 3,
@@ -585,7 +710,7 @@ class TestDenseCoreAgainstReferences:
 # ------------------------------------------- elements kept dense in a seed frame
 
 SEED_FRAMES = {
-    label: initial_seed(build_slice(c, window=(-6, 6)))
+    label: initial_seed(build_slice(c, window=E6_WINDOW if label == "E6" else (-6, 6)))
     for label, (c, _verts) in REF_CARTANS.items()
 }
 
@@ -627,20 +752,50 @@ class TestSeedFrame:
             assert exact_left_divide(xs * ys, xs)._frame is xs._frame
 
     @REF_SETTINGS
-    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
-    def test_division_outcome_agrees_across_frames(self, data, label):
-        a = data.draw(mixed_elements(label))
-        d = data.draw(mixed_elements(label))
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)), kind=EXPONENT_KINDS)
+    def test_division_outcome_agrees_across_frames(self, data, label, kind):
+        exponents = EXPONENTS[kind]
+        a = data.draw(mixed_elements(label, exponents=exponents))
+        d = data.draw(mixed_elements(label, exponents=exponents))
         if not d:
             return
+        homed = (in_seed_frame(a, label), in_seed_frame(d, label))
+        # exact: d * a, when in range, divides back to a in either frame
+        if pairs_in_range(d.terms, a.terms):
+            for num, den in ((d * a, d), (homed[1] * homed[0], homed[1])):
+                assert exact_left_divide(num, den) == a
         # random pairs are nearly always non-exact; compare the whole outcome
         outcomes = []
-        for num, den in ((a, d), (in_seed_frame(a, label), in_seed_frame(d, label))):
+        for num, den in ((a, d), homed):
             try:
                 outcomes.append(exact_left_divide(num, den))
             except NonExactDivision as err:
                 outcomes.append((err.reason, err.remainder, err.num_terms, err.den_terms))
+                # what the division took off num is den times a quotient
+                taken = num - err.remainder
+                assert den * exact_left_divide(taken, den) == taken
+            except TorusError as err:
+                outcomes.append(str(err))
         assert outcomes[0] == outcomes[1]
+
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)), kind=EXPONENT_KINDS)
+    def test_moves_between_frames_of_different_widths(self, data, label, kind):
+        exponents = EXPONENTS[kind]
+        # x in its own frame and in the seed frame; w has a vertex above the
+        # seed's window, so each product meets in a frame one vertex wider
+        x = data.draw(mixed_elements(label, exponents=exponents))
+        c, top = REF_CARTANS[label][0], SEED_FRAMES[label].slice.vertices[0][1]
+        outside = next((i, r) for r in (top + 1, top + 2) for i in c.nodes if c.in_ihat(i, r))
+        w = monomial(c, {outside: data.draw(exponents) or 1}, {1: 2})
+        xs = in_seed_frame(x, label)
+        assert xs == x and xs.terms == x.terms and keys_in_order(xs) == keys_in_order(x)
+        for a, b in ((x, w), (w, x), (xs, w), (w, xs)):
+            ab = a * b
+            assert ab.terms == ref_star(a, b)
+            assert len(ab._frame.verts) == len(set(a._frame.verts) | set(b._frame.verts))
+            if a:
+                assert exact_left_divide(ab, a) == b
 
     def test_operand_outside_the_seed_frame(self):
         # z[1,10] lies outside the slice, so the product meets in a frame on
@@ -676,6 +831,22 @@ class TestFrames:
         a, b = x._join(y)
         assert a is x and b is y
         assert (x * y)._frame is x._frame and (y + x)._frame is y._frame
+
+    @REF_SETTINGS
+    @given(data=st.data(), label=st.sampled_from(sorted(REF_CARTANS)))
+    def test_keys_unpack_and_bound_their_exponents(self, data, label):
+        x = data.draw(mixed_elements(label, max_terms=8, exponents=EXPONENTS["limit"]))
+        frame, n = x._frame, len(x._frame.verts)
+        rows = [frame.unpack(k) for k in x._dense]
+        # the vertex at column j owns bits 16(n-1-j) to 16(n-j) - 1: BIAS - e
+        assert rows == [
+            tuple((k >> 16 * (n - 1 - j) & 0xFFFF) - BIAS for j in range(n)) for k in x._dense
+        ]
+        assert all(frame.dense(frame.sparse_key(k)) == k for k in x._dense)
+        if x:
+            lo, hi = frame.bounds(x._dense)
+            assert frame.unpack(lo) == tuple(map(min, zip(*rows)))
+            assert frame.unpack(hi) == tuple(map(max, zip(*rows)))
 
     def test_untwisted_frame_has_no_skew_form(self):
         assert TorusElement.monomial(None, {(1, 0): 1, (1, 2): -1})._frame.lam is None
